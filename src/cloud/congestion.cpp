@@ -75,16 +75,16 @@ FairQueue::Admission FairQueue::admit(std::uint64_t tenant, double weight,
 
   // Per-flow pacing gate: a flow past its weighted share waits on its own
   // tag even when a slot is free, so one hot tenant cannot starve the rest.
-  common::SimDuration gate = arrival;
-  if (auto it = flow_tag_.find(tenant); it != flow_tag_.end()) {
-    gate = std::max(gate, it->second);
-  }
+  // A flow without a tag is inserted at `arrival`, which gates nothing.
+  const auto [flow, fresh] = flow_tag_.try_emplace(tenant, arrival);
+  const common::SimDuration gate = std::max(arrival, flow->second);
 
   auto slot = std::min_element(slot_free_.begin(), slot_free_.end());
   const common::SimDuration begin = std::max(gate, *slot);
   *slot = begin + service;
-  flow_tag_[tenant] = begin + static_cast<common::SimDuration>(
-                                  static_cast<double>(service) / weight);
+  flow->second = begin + static_cast<common::SimDuration>(
+                             static_cast<double>(service) / weight);
+  if (fresh) tag_expiry_.emplace(flow->second, tenant);
 
   const common::SimDuration wait = begin - arrival;
   ++stats_.admitted;
@@ -100,12 +100,24 @@ FairQueue::Admission FairQueue::admit(std::uint64_t tenant, double weight,
   }
 
   // The tag map must track backlogged flows, not every tenant ever seen:
-  // at 10^6 closed-loop tenants an unpruned map is hundreds of MB. Tags at
+  // at 10^6 closed-loop tenants an unretired map is hundreds of MB. Tags at
   // or behind the current arrival are inert (gate falls back to arrival).
-  if (++admits_since_prune_ >= 4096) {
-    admits_since_prune_ = 0;
-    for (auto it = flow_tag_.begin(); it != flow_tag_.end();) {
-      it = it->second <= arrival ? flow_tag_.erase(it) : std::next(it);
+  // Every 4096 admits, pop the heap keys <= arrival (a key never exceeds
+  // its flow's tag, since tags only grow): erase the flow if its tag is
+  // <= arrival too, else re-key it. That erases exactly what a full scan
+  // would, at the same moments, so gates match even for late arrivals.
+  if (++admits_since_retire_ >= 4096) {
+    admits_since_retire_ = 0;
+    while (!tag_expiry_.empty() && tag_expiry_.top().first <= arrival) {
+      const std::uint64_t expired = tag_expiry_.top().second;
+      tag_expiry_.pop();
+      const auto it = flow_tag_.find(expired);
+      assert(it != flow_tag_.end() && "every heap entry has its flow");
+      if (it->second <= arrival) {
+        flow_tag_.erase(it);
+      } else {
+        tag_expiry_.emplace(it->second, expired);
+      }
     }
   }
   return {.admitted = true, .wait = wait};

@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <queue>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -93,6 +94,12 @@ class FairQueue {
   [[nodiscard]] const CongestionParams& params() const { return params_; }
   [[nodiscard]] const CongestionStats& stats() const { return stats_; }
 
+  /// Flows holding a pacing tag; the retirement heap holds one entry each.
+  [[nodiscard]] std::size_t tagged_flows() const { return flow_tag_.size(); }
+  [[nodiscard]] std::size_t pending_retirements() const {
+    return tag_expiry_.size();
+  }
+
  private:
   void prune(common::SimDuration arrival);
 
@@ -105,10 +112,16 @@ class FairQueue {
                       std::greater<>>
       waiting_;
   // Per-flow virtual finish tags. Only flows currently ahead of real
-  // arrival time matter; stale tags are lazily pruned so the map tracks
-  // the set of *backlogged* tenants, not every tenant ever seen.
+  // arrival time matter; stale tags are retired so the map tracks the set
+  // of *backlogged* tenants, not every tenant ever seen.
   std::unordered_map<std::uint64_t, common::SimDuration> flow_tag_;
-  std::uint64_t admits_since_prune_ = 0;
+  // One (tag, flow) entry per tracked flow, keyed by a tag the flow has
+  // held (its current one or an earlier one), earliest on top: retirement
+  // pops the expired keys instead of scanning flow_tag_.
+  using TagEntry = std::pair<common::SimDuration, std::uint64_t>;
+  std::priority_queue<TagEntry, std::vector<TagEntry>, std::greater<>>
+      tag_expiry_;
+  std::uint64_t admits_since_retire_ = 0;
 };
 
 }  // namespace hyrd::cloud

@@ -6,9 +6,11 @@
 //    refcount bump + O(1) slice — no memcpy under any lock — and put keeps
 //    the caller's buffer by reference when it is owning (borrowed spans
 //    are deep-copied before the lock is taken).
-//  * The container map is sharded across kShards stripes keyed by the
+//  * Containers are sharded across kShards stripes keyed by the
 //    container-name hash, so concurrent ops on different containers (and
 //    every op against *other* shards) never contend on one global mutex.
+//    Each shard is a robin-hood table of containers, each container one of
+//    objects (common/robin_hood_map.h); list() sorts, as they are unordered.
 //    stored_bytes_ is a relaxed atomic: it counts *logical* bytes — what a
 //    provider would bill — not physical residency, which is per unique
 //    block shared by however many fragments slice it.
@@ -17,14 +19,15 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/buffer.h"
 #include "common/bytes.h"
+#include "common/robin_hood_map.h"
 #include "common/status.h"
 
 namespace hyrd::cloud {
@@ -83,16 +86,21 @@ class MemoryStore {
  private:
   static constexpr std::size_t kShards = 16;
 
+  using Container = common::RobinHoodMap<common::Buffer>;
+
   struct Shard {
     mutable std::mutex mu;
-    std::map<std::string, std::map<std::string, common::Buffer>> containers;
+    common::RobinHoodMap<Container> containers;
   };
 
-  [[nodiscard]] const Shard& shard_for(const std::string& container) const {
-    return shards_[std::hash<std::string>{}(container) % kShards];
-  }
-  [[nodiscard]] Shard& shard_for(const std::string& container) {
-    return shards_[std::hash<std::string>{}(container) % kShards];
+  /// Locks the container's shard (by stable_key_hash, reused for the probe)
+  /// and returns the guard with the container's objects, null if absent.
+  template <typename Self>
+  static auto find_container(Self& self, const std::string& container) {
+    const std::uint64_t h = common::stable_key_hash(container);
+    auto& shard = self.shards_[h % kShards];
+    std::unique_lock lock(shard.mu);
+    return std::pair{std::move(lock), shard.containers.find_h(h, container)};
   }
 
   std::array<Shard, kShards> shards_;

@@ -6,6 +6,7 @@
 #include "cloud/cancel.h"
 #include "common/checksum.h"
 #include "common/virtual_time.h"
+#include "gcsapi/rest_codec.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -39,17 +40,17 @@ CloudClient::CloudClient(cloud::SimProvider* provider, RetryPolicy policy)
 template <typename ResultT, typename ExecFn>
 ResultT CloudClient::run(cloud::OpKind op, const cloud::ObjectKey& key,
                          ExecFn&& exec) {
+#ifndef NDEBUG
   // Round-trip the envelope through the RESTful boundary: the method, path
   // and headers we execute are what a real HTTP deployment would have
   // decoded on the wire. The payload is attached by reference (see the
   // declaration comment), so no body bytes pass through the codec here.
-  const RestRequest encoded = encode_op(op, key, {});
-  auto parsed = parse_request(serialize(encoded));
+  auto parsed = parse_request(serialize(encode_op(op, key, {})));
   assert(parsed.is_ok() && "REST serialization must round-trip");
   auto decoded = decode_op(parsed.value());
   assert(decoded.is_ok() && decoded.value().op == op &&
          decoded.value().key == key && "REST op must round-trip");
-  (void)decoded;
+#endif
 
   // Retry loop. Under a VirtualScope (discrete-event traffic) every attempt
   // past the first re-installs the scope with `now` advanced by everything
@@ -115,13 +116,6 @@ ResultT CloudClient::run(cloud::OpKind op, const cloud::ObjectKey& key,
     obs::emit(std::move(span));
   }
 
-  record_trace({.provider = provider_->name(),
-                .op = op,
-                .key = key.str(),
-                .bytes = result.bytes_transferred,
-                .latency = total_latency,
-                .status = result.status.code(),
-                .attempts = attempt});
   return result;
 }
 
@@ -175,23 +169,6 @@ cloud::OpResult CloudClient::ensure_container(const std::string& container) {
     r.status = common::Status::ok();
   }
   return r;
-}
-
-std::vector<OpTraceEntry> CloudClient::recent_ops() const {
-  std::lock_guard lock(trace_mu_);
-  return {trace_.begin(), trace_.end()};
-}
-
-void CloudClient::set_trace_capacity(std::size_t n) {
-  std::lock_guard lock(trace_mu_);
-  trace_capacity_ = n;
-  while (trace_.size() > trace_capacity_) trace_.pop_front();
-}
-
-void CloudClient::record_trace(OpTraceEntry entry) {
-  std::lock_guard lock(trace_mu_);
-  trace_.push_back(std::move(entry));
-  while (trace_.size() > trace_capacity_) trace_.pop_front();
 }
 
 }  // namespace hyrd::gcs

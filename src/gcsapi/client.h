@@ -1,33 +1,24 @@
 // CloudClient: the per-provider half of the GCS-API middleware.
 //
-// Every call is encoded to the RESTful wire format, round-tripped through
-// the codec (asserting the middleware boundary is lossless), executed
-// against the provider, and retried under a RetryPolicy. Latencies of all
-// attempts — including backoff — accumulate into the reported latency, in
-// virtual time.
+// Every call is executed against the provider and retried under a
+// RetryPolicy. Latencies of all attempts — including backoff — accumulate
+// into the reported latency, in virtual time. Each op's outcome is
+// observable through the gcs.* counters and, under an obs::TraceScope, one
+// "cloud" span per op carrying its attempts, status, bytes and backoff.
+//
+// Debug builds (NDEBUG undefined) also round-trip each op's REST envelope
+// through the codec and assert that the middleware boundary is lossless.
+// Release builds skip that per-op work; rest_codec_test pins the same
+// property for every key shape the clients emit.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
 
 #include "cloud/provider.h"
-#include "gcsapi/rest_codec.h"
 #include "gcsapi/retry.h"
 
 namespace hyrd::gcs {
-
-/// One completed middleware operation (for audits and debugging).
-struct OpTraceEntry {
-  std::string provider;
-  cloud::OpKind op;
-  std::string key;
-  std::uint64_t bytes = 0;
-  common::SimDuration latency = 0;
-  common::StatusCode status = common::StatusCode::kOk;
-  int attempts = 1;
-};
 
 class CloudClient {
  public:
@@ -60,28 +51,19 @@ class CloudClient {
   /// Creates the container if it does not exist yet (idempotent setup).
   cloud::OpResult ensure_container(const std::string& container);
 
-  /// Most recent operations, newest last (bounded ring).
-  [[nodiscard]] std::vector<OpTraceEntry> recent_ops() const;
-  void set_trace_capacity(std::size_t n);
-
  private:
-  /// Encodes the request *envelope* -> wire -> decode, asserting round-trip
-  /// fidelity, then executes with retries. The payload itself travels by
-  /// reference (scatter-gather style: a real client writev()s the body
-  /// after the header block, it does not splice it into the header buffer),
-  /// so this middleware hop copies zero payload bytes; full body round-trip
-  /// fidelity is covered by rest_codec_test. The returned result carries
-  /// total latency.
+  /// Executes with retries; debug builds first round-trip the request
+  /// *envelope* (encode -> wire -> decode) and assert its fidelity. The
+  /// payload itself travels by reference (scatter-gather style: a real
+  /// client writev()s the body after the header block, it does not splice
+  /// it into the header buffer), so this middleware hop copies zero payload
+  /// bytes; full body round-trip fidelity is covered by rest_codec_test.
+  /// The returned result carries total latency.
   template <typename ResultT, typename ExecFn>
   ResultT run(cloud::OpKind op, const cloud::ObjectKey& key, ExecFn&& exec);
 
-  void record_trace(OpTraceEntry entry);
-
   cloud::SimProvider* provider_;
   RetryPolicy policy_;
-  mutable std::mutex trace_mu_;
-  std::deque<OpTraceEntry> trace_;
-  std::size_t trace_capacity_ = 256;
 };
 
 }  // namespace hyrd::gcs

@@ -4,8 +4,8 @@
 #include <cassert>
 
 #include "common/rng.h"
+#include "common/robin_hood_map.h"
 #include "metadata/file_meta.h"
-#include "metadata/shard_table.h"
 
 namespace hyrd::meta {
 
@@ -36,7 +36,7 @@ Keyspace::Keyspace(std::size_t shard_count, std::size_t vnodes_per_shard)
 }
 
 std::size_t Keyspace::shard_of_dir(std::string_view dir) const {
-  return shard_of_hash(stable_key_hash(dir));
+  return shard_of_hash(common::stable_key_hash(dir));
 }
 
 std::size_t Keyspace::shard_of_path(const std::string& path) const {

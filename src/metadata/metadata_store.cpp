@@ -92,7 +92,7 @@ std::unique_lock<std::mutex> MetadataStore::lock_shard(const Shard& s) const {
 void MetadataStore::upsert(FileMeta m) {
   const ScopedLatency timer(upsert_ns_);
   const auto [dir, name] = split_path_view(m.path);
-  const std::uint64_t dh = stable_key_hash(dir);
+  const std::uint64_t dh = common::stable_key_hash(dir);
   Shard& shard = *shards_[keyspace_.shard_of_hash(dh)];
   const auto lock = lock_shard(shard);
   DirTable& files = shard.dirs.try_emplace_h(dh, dir);
@@ -107,8 +107,8 @@ void MetadataStore::upsert(FileMeta m) {
 std::uint64_t MetadataStore::upsert_versioned(FileMeta& m) {
   const ScopedLatency timer(upsert_ns_);
   const auto [dir, name] = split_path_view(m.path);
-  const std::uint64_t dh = stable_key_hash(dir);
-  const std::uint64_t nh = stable_key_hash(name);
+  const std::uint64_t dh = common::stable_key_hash(dir);
+  const std::uint64_t nh = common::stable_key_hash(name);
   Shard& shard = *shards_[keyspace_.shard_of_hash(dh)];
   const auto lock = lock_shard(shard);
   DirTable& files = shard.dirs.try_emplace_h(dh, dir);
@@ -128,8 +128,8 @@ std::uint64_t MetadataStore::upsert_versioned(FileMeta& m) {
 bool MetadataStore::upsert_if_newer(FileMeta m) {
   const ScopedLatency timer(upsert_ns_);
   const auto [dir, name] = split_path_view(m.path);
-  const std::uint64_t dh = stable_key_hash(dir);
-  const std::uint64_t nh = stable_key_hash(name);
+  const std::uint64_t dh = common::stable_key_hash(dir);
+  const std::uint64_t nh = common::stable_key_hash(name);
   Shard& shard = *shards_[keyspace_.shard_of_hash(dh)];
   const auto lock = lock_shard(shard);
   DirTable& files = shard.dirs.try_emplace_h(dh, dir);
@@ -145,7 +145,7 @@ bool MetadataStore::upsert_if_newer(FileMeta m) {
 std::optional<FileMeta> MetadataStore::lookup(const std::string& path) const {
   const ScopedLatency timer(lookup_ns_);
   const auto [dir, name] = split_path_view(path);
-  const std::uint64_t dh = stable_key_hash(dir);
+  const std::uint64_t dh = common::stable_key_hash(dir);
   const Shard& shard = *shards_[keyspace_.shard_of_hash(dh)];
   const auto lock = lock_shard(shard);
   const DirTable* files = shard.dirs.find_h(dh, dir);
@@ -157,7 +157,7 @@ std::optional<FileMeta> MetadataStore::lookup(const std::string& path) const {
 
 bool MetadataStore::erase(const std::string& path) {
   const auto [dir, name] = split_path_view(path);
-  const std::uint64_t dh = stable_key_hash(dir);
+  const std::uint64_t dh = common::stable_key_hash(dir);
   Shard& shard = *shards_[keyspace_.shard_of_hash(dh)];
   const auto lock = lock_shard(shard);
   DirTable* files = shard.dirs.find_h(dh, dir);
@@ -191,7 +191,7 @@ std::vector<std::string> MetadataStore::directories() const {
 
 std::vector<FileMeta> MetadataStore::files_in(const std::string& dir) const {
   std::vector<FileMeta> out;
-  const std::uint64_t dh = stable_key_hash(dir);
+  const std::uint64_t dh = common::stable_key_hash(dir);
   const Shard& shard = *shards_[keyspace_.shard_of_hash(dh)];
   const auto lock = lock_shard(shard);
   const DirTable* files = shard.dirs.find_h(dh, dir);
@@ -225,7 +225,7 @@ std::vector<std::string> MetadataStore::all_paths() const {
 }
 
 common::Bytes MetadataStore::serialize_directory(const std::string& dir) const {
-  const std::uint64_t dh = stable_key_hash(dir);
+  const std::uint64_t dh = common::stable_key_hash(dir);
   const Shard& shard = *shards_[keyspace_.shard_of_hash(dh)];
   const auto lock = lock_shard(shard);
   Writer w;
@@ -283,7 +283,7 @@ std::mutex& MetadataStore::write_order_mu(const std::string& path) {
   const auto [dir, name] = split_path_view(path);
   Shard& shard = *shards_[keyspace_.shard_of_dir(dir)];
   const std::size_t stripe =
-      stable_key_hash(path) % kWriteStripesPerShard;
+      common::stable_key_hash(path) % kWriteStripesPerShard;
   return shard.write_order[stripe];
 }
 

@@ -57,7 +57,8 @@ struct ScaleoutConfig {
   /// window, so the fleet ramps instead of stampeding at t=0.
   common::SimDuration ramp = 30 * common::kSecond;
 
-  /// Shared payload arena size (tenant puts slice windows out of it).
+  /// Shared payload arena size (tenant puts slice windows out of it); below
+  /// tenant.object_bytes, run_scaleout throws std::invalid_argument.
   std::size_t arena_bytes = 1u << 20;
 
   /// Session-level (CloudClient) retry policy for every cloud op the scheme

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 
 #include "common/buffer.h"
 #include "common/clock.h"
@@ -104,7 +105,12 @@ class Tenant final : public EventHandler {
         client_(client),
         arena_(arena),
         metrics_(metrics),
-        path_("t" + std::to_string(id) + "/o") {}
+        path_("t" + std::to_string(id) + "/o") {
+    // draw_payload() slices object_bytes out of the arena (span underflow).
+    if (config.object_bytes > arena.size()) {
+      throw std::invalid_argument("tenant object_bytes exceeds arena size");
+    }
+  }
 
   /// One step: issue the next op, account it, schedule the next wakeup.
   void on_event(EventQueue& queue, common::SimDuration now) override;

@@ -3,10 +3,16 @@
 // integration (only VirtualScope traffic is subject to it).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <queue>
+#include <unordered_map>
+#include <vector>
+
 #include "cloud/congestion.h"
 #include "cloud/profiles.h"
 #include "cloud/provider.h"
 #include "common/clock.h"
+#include "common/rng.h"
 #include "common/status.h"
 #include "common/virtual_time.h"
 
@@ -155,6 +161,156 @@ TEST(SimProviderCongestion, QueueingDelayIsVisibleInOpLatency) {
   // Third op on the single-channel provider carries >= 2 service times of
   // queueing delay on top of the identically-seeded base latency.
   EXPECT_GE(lat_queued, lat_free + 2 * kTenMs);
+}
+
+// The fair queue as it was before expiry-ordered tag retirement: every 4096
+// admits it scans the whole tag map. Kept verbatim (minus metrics and
+// spans) as the oracle the heap-based retirement must match bit for bit.
+class ScanFairQueue {
+ public:
+  explicit ScanFairQueue(CongestionParams params) : params_(params) {
+    if (params_.channels == 0) params_.channels = 1;
+    slot_free_.assign(params_.channels, 0);
+  }
+
+  common::SimDuration service_time(std::uint64_t bytes) const {
+    double ms = params_.per_op_service_ms;
+    if (bytes > 0 && params_.service_mbps > 0) {
+      ms += static_cast<double>(bytes) / (params_.service_mbps * 1e6) * 1e3;
+    }
+    return common::from_ms(ms);
+  }
+
+  std::size_t depth_at(common::SimDuration now) {
+    prune(now);
+    return waiting_.size();
+  }
+
+  FairQueue::Admission admit(std::uint64_t tenant, double weight,
+                             common::SimDuration arrival,
+                             std::uint64_t bytes) {
+    prune(arrival);
+    if (waiting_.size() >= params_.max_queue_depth) {
+      ++stats_.throttled;
+      return {.admitted = false, .wait = 0};
+    }
+    const common::SimDuration service = service_time(bytes);
+    if (weight <= 0.0) weight = 1.0;
+    common::SimDuration gate = arrival;
+    if (auto it = flow_tag_.find(tenant); it != flow_tag_.end()) {
+      gate = std::max(gate, it->second);
+    }
+    auto slot = std::min_element(slot_free_.begin(), slot_free_.end());
+    const common::SimDuration begin = std::max(gate, *slot);
+    *slot = begin + service;
+    flow_tag_[tenant] = begin + static_cast<common::SimDuration>(
+                                    static_cast<double>(service) / weight);
+    const common::SimDuration wait = begin - arrival;
+    ++stats_.admitted;
+    if (wait > 0) {
+      ++stats_.queued;
+      waiting_.push(begin);
+      stats_.peak_depth = std::max(stats_.peak_depth, waiting_.size());
+      stats_.total_wait += wait;
+      stats_.max_wait = std::max(stats_.max_wait, wait);
+    }
+    if (++admits_since_prune_ >= 4096) {
+      admits_since_prune_ = 0;
+      for (auto it = flow_tag_.begin(); it != flow_tag_.end();) {
+        it = it->second <= arrival ? flow_tag_.erase(it) : std::next(it);
+      }
+    }
+    return {.admitted = true, .wait = wait};
+  }
+
+  const CongestionStats& stats() const { return stats_; }
+  std::size_t tagged_flows() const { return flow_tag_.size(); }
+
+ private:
+  void prune(common::SimDuration arrival) {
+    while (!waiting_.empty() && waiting_.top() <= arrival) waiting_.pop();
+  }
+
+  CongestionParams params_;
+  CongestionStats stats_;
+  std::vector<common::SimDuration> slot_free_;
+  std::priority_queue<common::SimDuration, std::vector<common::SimDuration>,
+                      std::greater<>>
+      waiting_;
+  std::unordered_map<std::uint64_t, common::SimDuration> flow_tag_;
+  std::uint64_t admits_since_prune_ = 0;
+};
+
+bool same_stats(const CongestionStats& a, const CongestionStats& b) {
+  return a.admitted == b.admitted && a.queued == b.queued &&
+         a.throttled == b.throttled && a.total_wait == b.total_wait &&
+         a.max_wait == b.max_wait && a.peak_depth == b.peak_depth;
+}
+
+TEST(FairQueue, ExpiryRetirementMatchesFullScanOracle) {
+  // 4 slots x 10 ms service = 400 ops/s of virtual capacity and a depth
+  // cap of 64: alternating overload and underload phases fill the queue to
+  // the cap (429s) and drain it again, so flows go backlogged, retire and
+  // come back across many 4096-admit retirement passes.
+  const CongestionParams params = narrow(4, 64);
+  FairQueue q(params);
+  ScanFairQueue oracle(params);
+  common::Xoshiro256 rng(20240611);
+  const double weights[] = {0.5, 1.0, 2.0, 4.0, 0.0};
+  common::SimDuration clock = 0;
+  std::uint64_t late = 0;
+  constexpr int kAdmits = 24'000;
+  for (int i = 0; i < kAdmits; ++i) {
+    // Arrivals on a whole-millisecond grid and half the ops payload-free
+    // (service exactly 10 ms): tags then often land exactly on a later
+    // arrival, the `tag <= arrival` boundary retirement must get right.
+    const bool overload = (i / 3000) % 2 == 0;
+    clock += static_cast<common::SimDuration>(rng() % (overload ? 3 : 10)) *
+             common::kMillisecond;
+    common::SimDuration arrival = clock;
+    if (rng() % 100 < 15) {  // a late failover arrival
+      arrival = std::max<common::SimDuration>(
+          0, clock - static_cast<common::SimDuration>(rng() % 200) *
+                         common::kMillisecond);
+      ++late;
+    }
+    const std::uint64_t tenant = rng() % 50 == 0 ? ~0ull : rng() % 300;
+    const double weight = weights[rng() % 5];
+    const std::uint64_t bytes = rng() % 2 == 0 ? 0 : rng() % 8192;
+    const auto got = q.admit(tenant, weight, arrival, bytes);
+    const auto want = oracle.admit(tenant, weight, arrival, bytes);
+    ASSERT_EQ(got.admitted, want.admitted) << "admit " << i;
+    ASSERT_EQ(got.wait, want.wait) << "admit " << i;
+    ASSERT_TRUE(same_stats(q.stats(), oracle.stats())) << "admit " << i;
+    if (i % 97 == 0) {
+      ASSERT_EQ(q.depth_at(clock), oracle.depth_at(clock)) << "admit " << i;
+    }
+    ASSERT_EQ(q.tagged_flows(), oracle.tagged_flows()) << "admit " << i;
+    ASSERT_EQ(q.pending_retirements(), q.tagged_flows()) << "admit " << i;
+  }
+  EXPECT_GT(late, 1000u);
+  EXPECT_GT(q.stats().throttled, 0u);
+  EXPECT_GT(q.stats().admitted, 4u * 4096u);
+
+  // Drain: arrivals an hour past every tag, one service time apart (a
+  // free slot each time), each from a new flow and with a weight so large
+  // that its tag equals its arrival. The next retirement pass then finds
+  // every tag expired, the one just assigned included.
+  const common::SimDuration service = q.service_time(0);
+  common::SimDuration t = clock + 3600 * common::kSecond;
+  bool drained = false;
+  for (int i = 0; i < 4096 && !drained; ++i, t += service) {
+    const auto got = q.admit(1000 + i, 1e18, t, 0);
+    const auto want = oracle.admit(1000 + i, 1e18, t, 0);
+    ASSERT_EQ(got.wait, 0);
+    ASSERT_EQ(want.wait, 0);
+    drained = q.tagged_flows() == 0;
+  }
+  ASSERT_TRUE(drained);
+  EXPECT_EQ(q.pending_retirements(), 0u);
+  EXPECT_EQ(oracle.tagged_flows(), 0u);
+  EXPECT_TRUE(same_stats(q.stats(), oracle.stats()));
+  EXPECT_EQ(q.depth_at(t), oracle.depth_at(t));
 }
 
 TEST(FairQueue, DepthCapBoundaryAdmitsExactlyMaxQueueDepthWaiters) {

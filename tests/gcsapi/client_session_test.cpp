@@ -3,6 +3,7 @@
 #include "cloud/profiles.h"
 #include "gcsapi/client.h"
 #include "gcsapi/session.h"
+#include "cloud_spans.h"
 
 namespace hyrd::gcs {
 namespace {
@@ -35,34 +36,34 @@ TEST_F(ClientSessionTest, EnsureContainerIsIdempotent) {
 
 TEST_F(ClientSessionTest, TraceRecordsOps) {
   CloudClient client(registry_.find("Aliyun"));
-  client.create("c");
-  client.put({"c", "k"}, common::bytes_of("x"));
-  client.get({"c", "k"});
-  const auto trace = client.recent_ops();
-  ASSERT_EQ(trace.size(), 3u);
-  EXPECT_EQ(trace[0].op, cloud::OpKind::kCreate);
-  EXPECT_EQ(trace[1].op, cloud::OpKind::kPut);
-  EXPECT_EQ(trace[1].bytes, 1u);
-  EXPECT_EQ(trace[2].op, cloud::OpKind::kGet);
-  EXPECT_EQ(trace[2].provider, "Aliyun");
-}
-
-TEST_F(ClientSessionTest, TraceCapacityBounded) {
-  CloudClient client(registry_.find("Aliyun"));
-  client.set_trace_capacity(5);
-  client.create("c");
-  for (int i = 0; i < 20; ++i) {
-    client.put({"c", "k" + std::to_string(i)}, common::bytes_of("x"));
+  obs::TraceRecorder recorder;
+  {
+    obs::TraceScope scope(&recorder);
+    client.create("c");
+    client.put({"c", "k"}, common::bytes_of("x"));
+    client.get({"c", "k"});
   }
-  EXPECT_EQ(client.recent_ops().size(), 5u);
+  const auto trace = client_op_spans(recorder);
+  ASSERT_EQ(trace.size(), 3u);
+  EXPECT_STREQ(trace[0].name, "Create");
+  EXPECT_STREQ(trace[1].name, "Put");
+  EXPECT_EQ(span_arg(trace[1], "bytes"), 1);
+  EXPECT_STREQ(trace[2].name, "Get");
+  EXPECT_EQ(trace[2].detail, "Aliyun");
+  EXPECT_EQ(span_arg(trace[2], "status"),
+            static_cast<long long>(common::StatusCode::kOk));
 }
 
 TEST_F(ClientSessionTest, UnavailableNotRetriedByDefault) {
   registry_.find("Aliyun")->set_online(false);
   CloudClient client(registry_.find("Aliyun"));
+  obs::TraceRecorder recorder;
+  obs::TraceScope scope(&recorder);
   auto r = client.get({"c", "k"});
   EXPECT_EQ(r.status.code(), common::StatusCode::kUnavailable);
-  EXPECT_EQ(client.recent_ops().back().attempts, 1);
+  const auto spans = client_op_spans(recorder);
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(span_arg(spans[0], "attempts"), 1);
 }
 
 TEST_F(ClientSessionTest, UnavailableRetriedWhenPolicyAllows) {
@@ -71,9 +72,13 @@ TEST_F(ClientSessionTest, UnavailableRetriedWhenPolicyAllows) {
   policy.max_attempts = 3;
   policy.retry_unavailable = true;
   CloudClient client(registry_.find("Aliyun"), policy);
+  obs::TraceRecorder recorder;
+  obs::TraceScope scope(&recorder);
   auto r = client.get({"c", "k"});
   EXPECT_EQ(r.status.code(), common::StatusCode::kUnavailable);
-  EXPECT_EQ(client.recent_ops().back().attempts, 3);
+  const auto spans = client_op_spans(recorder);
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(span_arg(spans[0], "attempts"), 3);
 }
 
 TEST_F(ClientSessionTest, RetryBackoffAddsLatency) {

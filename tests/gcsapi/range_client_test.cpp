@@ -4,6 +4,7 @@
 
 #include "cloud/profiles.h"
 #include "gcsapi/session.h"
+#include "cloud_spans.h"
 
 namespace hyrd::gcs {
 namespace {
@@ -38,15 +39,17 @@ TEST_F(RangeClientTest, PutRangeThroughClient) {
 
 TEST_F(RangeClientTest, RangeOpsAppearInTrace) {
   auto& client = session_->client(session_->index_of("Aliyun"));
+  obs::TraceRecorder recorder;
+  obs::TraceScope scope(&recorder);
   client.put({"c", "k"}, common::bytes_of("0123456789"));
   client.get_range({"c", "k"}, 0, 4);
   client.put_range({"c", "k"}, 2, common::bytes_of("xy"));
-  const auto trace = client.recent_ops();
-  ASSERT_GE(trace.size(), 3u);
-  EXPECT_EQ(trace[trace.size() - 2].op, cloud::OpKind::kGet);
-  EXPECT_EQ(trace[trace.size() - 2].bytes, 4u);
-  EXPECT_EQ(trace.back().op, cloud::OpKind::kPut);
-  EXPECT_EQ(trace.back().bytes, 2u);
+  const auto trace = client_op_spans(recorder);
+  ASSERT_EQ(trace.size(), 3u);
+  EXPECT_STREQ(trace[1].name, "Get");
+  EXPECT_EQ(span_arg(trace[1], "bytes"), 4);
+  EXPECT_STREQ(trace[2].name, "Put");
+  EXPECT_EQ(span_arg(trace[2], "bytes"), 2);
 }
 
 TEST_F(RangeClientTest, ParallelGetRangeBatch) {

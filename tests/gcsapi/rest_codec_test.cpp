@@ -2,6 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+#include <string>
+
+#include "core/config.h"
+#include "core/storage_client.h"
+#include "dist/scheme.h"
+
+namespace hyrd::cloud {
+
+// Readable test parameters: gtest would otherwise print these as raw
+// object bytes (pointer values included) in every test name.
+void PrintTo(OpKind op, std::ostream* os) { *os << op_kind_name(op); }
+void PrintTo(const ObjectKey& key, std::ostream* os) {
+  *os << key.container << "/" << key.name;
+}
+
+}  // namespace hyrd::cloud
+
 namespace hyrd::gcs {
 namespace {
 
@@ -43,6 +62,22 @@ TEST_P(CodecRoundTripTest, EncodeSerializeParseDecode) {
   EXPECT_EQ(decoded.value().key, key);
 }
 
+// Op name plus the key with every non-alphanumeric character mapped to
+// '_', e.g. "Put_hyrd_data_0123456789abcdef_r0".
+std::string codec_case_name(
+    const ::testing::TestParamInfo<std::tuple<OpKind, ObjectKey>>& info) {
+  const auto& [op, key] = info.param;
+  std::string name(cloud::op_kind_name(op));
+  for (const std::string& part : {key.container, key.name}) {
+    if (part.empty()) continue;
+    name += '_';
+    for (const unsigned char c : part) {
+      name += std::isalnum(c) != 0 ? static_cast<char>(c) : '_';
+    }
+  }
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Ops, CodecRoundTripTest,
     ::testing::Values(
@@ -53,7 +88,61 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(OpKind::kList, ObjectKey{"bucket", ""}),
         // Names needing percent-escaping.
         std::make_tuple(OpKind::kPut, ObjectKey{"my container", "a/b c?d"}),
-        std::make_tuple(OpKind::kGet, ObjectKey{"c", "100% legit"})));
+        std::make_tuple(OpKind::kGet, ObjectKey{"c", "100% legit"})),
+    codec_case_name);
+
+// The key shapes the scheme clients actually put on the wire. Release
+// builds no longer round-trip each op's envelope, so this is where the
+// property is checked for them.
+const core::HyRDConfig kHyrd;
+
+INSTANTIATE_TEST_SUITE_P(
+    ClientKeys, CodecRoundTripTest,
+    ::testing::Values(
+        // Container setup and listing, data and metadata sides.
+        std::make_tuple(OpKind::kCreate, ObjectKey{kHyrd.data_container, ""}),
+        std::make_tuple(OpKind::kCreate, ObjectKey{kHyrd.meta_container, ""}),
+        std::make_tuple(OpKind::kList, ObjectKey{kHyrd.meta_container, ""}),
+        // Replicas (small files) and erasure / DepSky / NCCloud fragments.
+        std::make_tuple(OpKind::kPut,
+                        ObjectKey{kHyrd.data_container,
+                                  dist::fragment_object_name("/t7/o", 'r', 0)}),
+        std::make_tuple(OpKind::kGet,
+                        ObjectKey{kHyrd.data_container,
+                                  dist::fragment_object_name("/t7/o", 'r', 2)}),
+        std::make_tuple(OpKind::kRemove,
+                        ObjectKey{kHyrd.data_container,
+                                  dist::fragment_object_name("/t7/o", 'r', 1)}),
+        std::make_tuple(
+            OpKind::kPut,
+            ObjectKey{kHyrd.data_container,
+                      dist::fragment_object_name("/big/video.bin", 's', 3)}),
+        std::make_tuple(OpKind::kGet,
+                        ObjectKey{"depsky-data",
+                                  dist::fragment_object_name("/d/x", 'q', 1)}),
+        std::make_tuple(OpKind::kPut,
+                        ObjectKey{"nccloud-data",
+                                  dist::fragment_object_name("/n/y", 'f', 5)}),
+        // Metadata blocks, by object name and by their update-log path.
+        std::make_tuple(
+            OpKind::kPut,
+            ObjectKey{kHyrd.meta_container,
+                      core::StorageClientBase::meta_block_object_name("t7")}),
+        std::make_tuple(
+            OpKind::kGet,
+            ObjectKey{kHyrd.meta_container,
+                      core::StorageClientBase::meta_block_path("t7")}),
+        // Nested paths: every '/' inside the object name must be escaped,
+        // or decode would split the key at the wrong segment.
+        std::make_tuple(OpKind::kPut, ObjectKey{kHyrd.data_container, "t42/o"}),
+        std::make_tuple(OpKind::kGet,
+                        ObjectKey{kHyrd.data_container, "dir/sub/deep/f.bin"}),
+        std::make_tuple(OpKind::kRemove,
+                        ObjectKey{kHyrd.data_container, "/leading/slash"}),
+        // Evaluator probes.
+        std::make_tuple(OpKind::kPut,
+                        ObjectKey{kHyrd.probe_container, "probe-3"})),
+    codec_case_name);
 
 TEST(RestCodec, ParseRejectsMissingTerminator) {
   const auto wire = common::bytes_of("GET /c/x HTTP/1.1\r\n");

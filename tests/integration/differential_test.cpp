@@ -26,6 +26,10 @@ struct SchemeParam {
   bool survives_single_outage;
 };
 
+// Without this gtest prints the raw bytes (pointers included), so the
+// discovered ctest names would change with every build.
+void PrintTo(const SchemeParam& param, std::ostream* os) { *os << param.name; }
+
 class DifferentialTest : public ::testing::TestWithParam<SchemeParam> {};
 
 void run_differential(core::StorageClient& client,
