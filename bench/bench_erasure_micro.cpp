@@ -85,6 +85,28 @@ BENCHMARK(BM_GF256MulAddRegionMulti)
     ->Args({4, 1 << 20})
     ->Args({8, 1 << 20});
 
+// All-ones row (RS m=1 / RAID5 parity): the fused multi-source XOR kernel.
+void BM_GF256XorParityFused(benchmark::State& state) {
+  const auto& gf = erasure::GF256::instance();
+  const std::size_t k = static_cast<std::size_t>(state.range(0));
+  const std::size_t size = static_cast<std::size_t>(state.range(1));
+  const auto shards = make_shards(k, size);
+  std::vector<common::ByteSpan> srcs(shards.begin(), shards.end());
+  const std::vector<std::uint8_t> ones(k, 1);
+  common::Bytes dst(size, 0);
+  for (auto _ : state) {
+    gf.mul_add_region_multi(dst, srcs, ones.data());
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(k * size));
+}
+BENCHMARK(BM_GF256XorParityFused)
+    ->Args({3, 256 << 10})
+    ->Args({3, 1 << 20})
+    ->Args({8, 1 << 20});
+
 void BM_RsEncode(benchmark::State& state) {
   const std::size_t k = static_cast<std::size_t>(state.range(0));
   const std::size_t m = static_cast<std::size_t>(state.range(1));
@@ -228,6 +250,20 @@ void BM_Crc32c(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Crc32c)->Range(1 << 10, 4 << 20);
+
+// Combining two CRCs costs O(log len_b) GF(2) products, independent of
+// the bytes; the argument is len_b.
+void BM_Crc32cCombine(benchmark::State& state) {
+  common::Xoshiro256 rng(static_cast<std::uint64_t>(state.range(0)));
+  const auto crc_a = static_cast<std::uint32_t>(rng());
+  const auto crc_b = static_cast<std::uint32_t>(rng());
+  const auto len_b = static_cast<std::uint64_t>(state.range(0));
+  for (auto _ : state) {
+    auto crc = common::crc32c_combine(crc_a, crc_b, len_b);
+    benchmark::DoNotOptimize(crc);
+  }
+}
+BENCHMARK(BM_Crc32cCombine)->Arg(4 << 10)->Arg(699051)->Arg(64 << 20);
 
 void BM_Sha256(benchmark::State& state) {
   const auto data =

@@ -1,6 +1,7 @@
 #include "common/checksum.h"
 
 #include <bit>
+#include <cstdint>
 #include <cstring>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -18,9 +19,11 @@ struct Crc32cTables {
   std::uint32_t t[8][256];
 };
 
+// 0x1EDC6F41 bit-reversed, shared by the tables and the GF(2) arithmetic.
+constexpr std::uint32_t kPolyReflected = 0x82F63B78u;
+
 Crc32cTables make_crc32c_tables() {
   Crc32cTables tables{};
-  constexpr std::uint32_t kPolyReflected = 0x82F63B78u;  // 0x1EDC6F41 reflected
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
@@ -59,22 +62,131 @@ std::uint32_t crc32c_sw(std::uint32_t crc, const std::uint8_t* p,
   return crc;
 }
 
+// GF(2) polynomial arithmetic modulo the reflected CRC-32C polynomial
+// (zlib's multmodp/x2nmodp scheme). In this representation bit 31 is x^0,
+// and appending n zero bytes to a message multiplies its raw CRC register
+// by x^(8n) mod P — the operation behind both the stream merge of the
+// 3-way kernel and crc32c_combine().
+
+constexpr std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t m = 1u << 31;
+  std::uint32_t p = 0;
+  for (;;) {
+    if (a & m) {
+      p ^= b;
+      if ((a & (m - 1)) == 0) break;
+    }
+    m >>= 1;
+    b = (b & 1u) ? (b >> 1) ^ kPolyReflected : b >> 1;
+  }
+  return p;
+}
+
+// x^(2^k) mod P for every k a 64-bit byte length reaches (8n < 2^67).
+// P is not irreducible (it has the factor x+1), so the powers are not
+// assumed to cycle with period 32 as zlib's table does for its own use.
+struct X2nTable {
+  std::uint32_t t[67];
+};
+
+constexpr X2nTable make_x2n_table() {
+  X2nTable table{};
+  std::uint32_t p = 1u << 30;  // x^1
+  table.t[0] = p;
+  for (int k = 1; k < 67; ++k) table.t[k] = p = multmodp(p, p);
+  return table;
+}
+
+constexpr X2nTable kX2n = make_x2n_table();
+
+/// x^(8n) mod P: the multiplier that shifts a CRC register past n zero bytes.
+constexpr std::uint32_t x8nmodp(std::uint64_t n) {
+  std::uint32_t p = 1u << 31;  // x^0
+  for (int k = 3; n != 0; n >>= 1, ++k) {
+    if (n & 1u) p = multmodp(kX2n.t[k], p);
+  }
+  return p;
+}
+
+// Table form of "multiply a register by x^(8n)" for one fixed n: the
+// product is linear in the register, so it is the XOR of four per-byte
+// lookups.
+struct ShiftTable {
+  std::uint32_t t[4][256];
+};
+
+ShiftTable make_shift_table(std::uint64_t n) {
+  ShiftTable table{};
+  const std::uint32_t xn = x8nmodp(n);
+  for (std::uint32_t b = 0; b < 256; ++b) {
+    for (int byte = 0; byte < 4; ++byte) {
+      table.t[byte][b] = multmodp(xn, b << (8 * byte));
+    }
+  }
+  return table;
+}
+
 #ifdef HYRD_CRC_X86
-// SSE4.2 CRC32 instruction: 8 bytes per cycle-ish, same polynomial.
+// 3-way SSE4.2 kernel. One CRC32 instruction has a latency of three cycles
+// but issues every cycle, so a single dependency chain runs at a third of
+// the unit's rate. The input is cut into runs of three equal blocks hashed
+// as three interleaved chains; each run's chains are merged by shifting
+// the running register past the next block (a table lookup) and XORing in
+// that block's chain. Long blocks amortise the merge on large buffers,
+// short blocks keep 4 KiB inputs three-wide.
+constexpr std::size_t kLongBlock = 8192;
+constexpr std::size_t kShortBlock = 256;
+
+const ShiftTable kLongShift = make_shift_table(kLongBlock);
+const ShiftTable kShortShift = make_shift_table(kShortBlock);
+
+inline std::uint32_t shift_crc(const ShiftTable& z, std::uint32_t crc) {
+  return z.t[0][crc & 0xFF] ^ z.t[1][(crc >> 8) & 0xFF] ^
+         z.t[2][(crc >> 16) & 0xFF] ^ z.t[3][crc >> 24];
+}
+
+inline std::uint64_t load_u64(const std::uint8_t* p) {
+  std::uint64_t w;
+  std::memcpy(&w, p, 8);
+  return w;
+}
+
+template <std::size_t kBlock>
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_runs(
+    std::uint32_t crc, const std::uint8_t*& p, std::size_t& n,
+    const ShiftTable& shift) {
+  while (n >= 3 * kBlock) {
+    std::uint64_t c0 = crc;
+    std::uint64_t c1 = 0;
+    std::uint64_t c2 = 0;
+    for (std::size_t i = 0; i < kBlock; i += 8) {
+      c0 = _mm_crc32_u64(c0, load_u64(p + i));
+      c1 = _mm_crc32_u64(c1, load_u64(p + kBlock + i));
+      c2 = _mm_crc32_u64(c2, load_u64(p + 2 * kBlock + i));
+    }
+    crc = shift_crc(shift, static_cast<std::uint32_t>(c0)) ^
+          static_cast<std::uint32_t>(c1);
+    crc = shift_crc(shift, crc) ^ static_cast<std::uint32_t>(c2);
+    p += 3 * kBlock;
+    n -= 3 * kBlock;
+  }
+  return crc;
+}
+
 __attribute__((target("sse4.2"))) std::uint32_t crc32c_hw(std::uint32_t crc,
                                                           const std::uint8_t* p,
                                                           std::size_t n) {
-  std::uint64_t c = crc;
-  while (n >= 8) {
-    std::uint64_t w;
-    std::memcpy(&w, p, 8);
-    c = _mm_crc32_u64(c, w);
-    p += 8;
-    n -= 8;
+  while (n > 0 && (reinterpret_cast<std::uintptr_t>(p) & 7u) != 0) {
+    crc = _mm_crc32_u8(crc, *p++);
+    --n;
   }
-  auto c32 = static_cast<std::uint32_t>(c);
-  while (n-- > 0) c32 = _mm_crc32_u8(c32, *p++);
-  return c32;
+  crc = crc32c_runs<kLongBlock>(crc, p, n, kLongShift);
+  crc = crc32c_runs<kShortBlock>(crc, p, n, kShortShift);
+  std::uint64_t c = crc;
+  for (; n >= 8; p += 8, n -= 8) c = _mm_crc32_u64(c, load_u64(p));
+  crc = static_cast<std::uint32_t>(c);
+  while (n-- > 0) crc = _mm_crc32_u8(crc, *p++);
+  return crc;
 }
 #endif
 
@@ -107,6 +219,11 @@ constexpr std::array<std::uint32_t, 64> kSha256K = {
 
 std::uint32_t crc32c(ByteSpan data, std::uint32_t seed) {
   return ~kCrcImpl(~seed, data.data(), data.size());
+}
+
+std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                             std::uint64_t len_b) {
+  return multmodp(x8nmodp(len_b), crc_a) ^ crc_b;
 }
 
 std::uint32_t crc32c_reference(ByteSpan data, std::uint32_t seed) {

@@ -16,9 +16,15 @@
 namespace hyrd::common {
 
 /// CRC-32C (Castagnoli, polynomial 0x1EDC6F41). Slicing-by-8 software
-/// path, upgraded at run time to the SSE4.2 CRC32 instruction when the
-/// host supports it. Chaining property: crc32c(a+b) == crc32c(b, crc32c(a)).
+/// path, upgraded at run time to a three-stream SSE4.2 CRC32 kernel when
+/// the host supports it. Chaining property:
+/// crc32c(a+b) == crc32c(b, crc32c(a)).
 std::uint32_t crc32c(ByteSpan data, std::uint32_t seed = 0);
+
+/// crc32c(a+b) from crc_a = crc32c(a), crc_b = crc32c(b) and the length of
+/// b, without touching the bytes: O(log len_b) GF(2) multiplications.
+std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                             std::uint64_t len_b);
 
 /// Bytewise single-table CRC-32C (the seed implementation), retained as
 /// the reference the wide-word paths are property-tested against.

@@ -8,7 +8,6 @@
 #include "common/checksum.h"
 #include "common/copy_meter.h"
 #include "common/virtual_time.h"
-#include "erasure/raid5.h"
 #include "erasure/reed_solomon.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -61,12 +60,37 @@ std::vector<std::size_t> slot_clients(const gcs::MultiCloudSession& session,
 }
 
 /// True if fragment `slot` of `meta` passes its integrity check (or no
-/// digest is recorded for it).
+/// digest is recorded for it). `object_crcs` is empty, or has one entry
+/// per data slot: a data fragment is then hashed as its object bytes
+/// followed by its padding — still one pass — and, once verified, leaves
+/// the CRC of its object bytes in object_crcs[slot] for the derived
+/// object check in Striper::assemble.
 bool fragment_intact(const meta::FileMeta& meta, std::size_t slot,
-                     common::ByteSpan fragment) {
+                     common::ByteSpan fragment,
+                     std::span<std::uint32_t> object_crcs = {}) {
   if (slot >= meta.fragment_crcs.size()) return true;   // no digest recorded
   if (meta.fragment_crcs[slot] == 0) return true;       // digest unknown
-  return common::crc32c(fragment) == meta.fragment_crcs[slot];
+  if (slot >= object_crcs.size()) {
+    return common::crc32c(fragment) == meta.fragment_crcs[slot];
+  }
+  const erasure::ShardCrc crc = erasure::Striper::data_shard_crc(
+      fragment,
+      erasure::Striper::object_bytes_in(slot, meta.size, fragment.size()));
+  if (crc.shard != meta.fragment_crcs[slot]) return false;
+  object_crcs[slot] = crc.object;
+  return true;
+}
+
+/// Slots for the object-byte CRCs of the k data fragments when every one
+/// of their digests is known; empty otherwise (the object is then hashed
+/// whole after reassembly, as for reconstructed objects).
+std::vector<std::uint32_t> data_crc_slots(const meta::FileMeta& meta,
+                                          std::size_t k) {
+  if (meta.fragment_crcs.size() < k) return {};
+  for (std::size_t i = 0; i < k; ++i) {
+    if (meta.fragment_crcs[i] == 0) return {};
+  }
+  return std::vector<std::uint32_t>(k, 0);
 }
 
 }  // namespace
@@ -92,12 +116,13 @@ WriteResult ErasureScheme::write(gcs::MultiCloudSession& session,
   // and the m parity shards live in one side arena, sliced per fragment.
   std::vector<common::Buffer> fragments(total);
   std::vector<common::ByteSpan> data_views(geom.k);
+  std::vector<std::size_t> object_bytes(geom.k);
   std::vector<std::size_t> pad_slots;
   for (std::size_t i = 0; i < geom.k; ++i) {
-    const std::size_t offset = i * shard_size;
-    const std::size_t avail = offset < data.size() ? data.size() - offset : 0;
-    if (avail >= shard_size) {
-      fragments[i] = data.slice(offset, shard_size);
+    object_bytes[i] =
+        erasure::Striper::object_bytes_in(i, data.size(), shard_size);
+    if (object_bytes[i] == shard_size) {
+      fragments[i] = data.slice(i * shard_size, shard_size);
       data_views[i] = fragments[i];
     } else {
       pad_slots.push_back(i);
@@ -106,10 +131,10 @@ WriteResult ErasureScheme::write(gcs::MultiCloudSession& session,
 
   common::MutableBuffer arena((pad_slots.size() + geom.m) * shard_size);
   for (std::size_t j = 0; j < pad_slots.size(); ++j) {
-    const std::size_t offset = pad_slots[j] * shard_size;
-    const std::size_t avail = offset < data.size() ? data.size() - offset : 0;
-    if (avail > 0) {
-      arena.write(j * shard_size, data.span().subspan(offset, avail));
+    const std::size_t slot = pad_slots[j];
+    if (object_bytes[slot] > 0) {
+      arena.write(j * shard_size, data.span().subspan(slot * shard_size,
+                                                      object_bytes[slot]));
     }
   }
   // Parity regions: writable spans taken before freeze(). The encode below
@@ -149,13 +174,17 @@ WriteResult ErasureScheme::write(gcs::MultiCloudSession& session,
       (void)rs.encode_into(d, pv);
     }));
   }
-  auto object_crc_fut =
-      pool.submit([view = data.span()] { return common::crc32c(view); });
-  std::vector<std::future<std::uint32_t>> crc_futs(total);
+  // Checksums hash every fragment byte once: a data fragment's object
+  // bytes first, then its padding chained on, so the object CRC is
+  // combined from the object-byte CRCs without a pass over the object.
+  std::vector<std::future<erasure::ShardCrc>> data_crc_futs(geom.k);
   for (std::size_t i = 0; i < geom.k; ++i) {
-    crc_futs[i] = pool.submit(
-        [view = data_views[i]] { return common::crc32c(view); });
+    data_crc_futs[i] = pool.submit([view = data_views[i],
+                                    prefix = object_bytes[i]] {
+      return erasure::Striper::data_shard_crc(view, prefix);
+    });
   }
+  std::vector<std::future<std::uint32_t>> parity_crc_futs(geom.m);
 
   std::vector<cloud::ObjectKey> keys;
   keys.reserve(total);
@@ -177,7 +206,7 @@ WriteResult ErasureScheme::write(gcs::MultiCloudSession& session,
   for (std::size_t p = 0; p < geom.m; ++p) {
     fragments[geom.k + p] =
         side.slice((pad_slots.size() + p) * shard_size, shard_size);
-    crc_futs[geom.k + p] = pool.submit(
+    parity_crc_futs[p] = pool.submit(
         [view = fragments[geom.k + p].span()] { return common::crc32c(view); });
   }
   for (std::size_t p = 0; p < geom.m; ++p) {
@@ -201,14 +230,19 @@ WriteResult ErasureScheme::write(gcs::MultiCloudSession& session,
   m.path = path;
   m.size = data.size();
   m.redundancy = meta::RedundancyKind::kErasure;
-  m.crc = object_crc_fut.get();
   m.stripe_k = static_cast<std::uint32_t>(geom.k);
   m.stripe_m = static_cast<std::uint32_t>(geom.m);
   m.shard_size = shard_size;
   m.fragment_crcs.reserve(total);
-  for (std::size_t i = 0; i < total; ++i) {
-    m.fragment_crcs.push_back(crc_futs[i].get());
+  std::vector<std::uint32_t> object_crcs(geom.k);
+  for (std::size_t i = 0; i < geom.k; ++i) {
+    const erasure::ShardCrc crc = data_crc_futs[i].get();
+    object_crcs[i] = crc.object;
+    m.fragment_crcs.push_back(crc.shard);
   }
+  for (auto& f : parity_crc_futs) m.fragment_crcs.push_back(f.get());
+  m.crc = erasure::Striper::object_crc_from(object_crcs, data.size(),
+                                            shard_size);
   for (std::size_t i = 0; i < total; ++i) {
     const cloud::OpResult& put_result = put_completions[i].result;
     const std::string& provider =
@@ -228,8 +262,8 @@ WriteResult ErasureScheme::write(gcs::MultiCloudSession& session,
   }
   stripe_metrics().encode_bytes.add(
       static_cast<std::uint64_t>(geom.m) * shard_size);
-  stripe_metrics().crc_bytes.add(data.size() +
-                                 static_cast<std::uint64_t>(total) * shard_size);
+  stripe_metrics().crc_bytes.add(static_cast<std::uint64_t>(total) *
+                                 shard_size);
   result.status = common::Status::ok();
   result.meta = std::move(m);
   emit_stripe_span("stripe_write", result.latency,
@@ -268,6 +302,9 @@ ReadResult ErasureScheme::read(gcs::MultiCloudSession& session,
   };
 
   std::vector<std::optional<common::Buffer>> shards(geom.total());
+  // Filled as data fragments verify; lets assemble() derive the object
+  // CRC instead of hashing the joined object a second time.
+  std::vector<std::uint32_t> object_crcs = data_crc_slots(meta, geom.k);
 
   if (read_strategy_ == ErasureReadStrategy::kFastestK) {
     // First-k-of-n: request every reachable fragment and complete at the
@@ -282,7 +319,8 @@ ReadResult ErasureScheme::read(gcs::MultiCloudSession& session,
       submit_slot(i, 0);
     }
     const auto usable = [&](const gcs::CloudCompletion& c) {
-      return c.ok() && fragment_intact(meta, op_slot[c.op_index], c.result.data);
+      return c.ok() && fragment_intact(meta, op_slot[c.op_index],
+                                       c.result.data, object_crcs);
     };
     gcs::BatchStats stats;
     auto completions = batch.await_first(geom.k, &stats, usable);
@@ -291,7 +329,7 @@ ReadResult ErasureScheme::read(gcs::MultiCloudSession& session,
     result.cancelled_stragglers = stats.cancelled;
     for (auto& c : completions) {
       const std::size_t slot = op_slot[c.op_index];
-      if (c.ok() && fragment_intact(meta, slot, c.result.data)) {
+      if (c.usable) {
         shards[slot] = std::move(c.result.data);
       } else if (!c.cancelled) {
         // A real failure (outage surprise or corruption), not a straggler
@@ -320,7 +358,7 @@ ReadResult ErasureScheme::read(gcs::MultiCloudSession& session,
     bool all_fetched_ok = !phase1.empty();
     for (auto& c : phase1) {
       const std::size_t slot = op_slot[c.op_index];
-      if (c.ok() && fragment_intact(meta, slot, c.result.data)) {
+      if (c.ok() && fragment_intact(meta, slot, c.result.data, object_crcs)) {
         shards[slot] = std::move(c.result.data);
       } else {
         // Unreachable — or silently corrupted: a failed integrity check
@@ -339,7 +377,8 @@ ReadResult ErasureScheme::read(gcs::MultiCloudSession& session,
     if (all_fetched_ok && have_all_data) {
       // Fast path: fragments that came back as adjacent slices of the
       // writer's arena reassemble in O(1); anything else gathers once.
-      auto object = striper_.assemble(meta.size, meta.crc, std::move(shards));
+      auto object = striper_.assemble(meta.size, meta.crc, std::move(shards),
+                                      object_crcs);
       if (!object.is_ok()) {
         result.status = object.status();
         return result;
@@ -373,14 +412,16 @@ ReadResult ErasureScheme::read(gcs::MultiCloudSession& session,
       for (auto& c : all_ops) {
         if (c.op_index < phase1_ops) continue;  // consumed above
         const std::size_t slot = op_slot[c.op_index];
-        if (c.ok() && fragment_intact(meta, slot, c.result.data)) {
+        if (c.ok() &&
+            fragment_intact(meta, slot, c.result.data, object_crcs)) {
           shards[slot] = std::move(c.result.data);
         }
       }
     }
   }
 
-  auto object = striper_.assemble(meta.size, meta.crc, std::move(shards));
+  auto object = striper_.assemble(meta.size, meta.crc, std::move(shards),
+                                  object_crcs);
   if (!object.is_ok()) {
     result.status = object.status();
     return result;
@@ -570,14 +611,14 @@ ErasureScheme::rebuild_fragments_for(gcs::MultiCloudSession& session,
            fragment_intact(meta, batch_slots[c.op_index], c.result.data);
   };
   gcs::BatchStats stats;
-  auto gets = read_strategy_ == ErasureReadStrategy::kFastestK
-                  ? batch.await_first(geom.k, &stats, usable)
-                  : batch.await_all(&stats);
+  const bool fastest = read_strategy_ == ErasureReadStrategy::kFastestK;
+  auto gets = fastest ? batch.await_first(geom.k, &stats, usable)
+                      : batch.await_all(&stats);
   if (latency != nullptr) *latency += stats.latency;
   for (auto& c : gets) {
     // Corrupt survivors must not poison the rebuilt fragments.
-    const std::size_t slot = batch_slots[c.op_index];
-    if (c.ok() && fragment_intact(meta, slot, c.result.data)) {
+    if (fastest ? c.usable : usable(c)) {
+      const std::size_t slot = batch_slots[c.op_index];
       shards[slot] = std::move(c.result.data).into_bytes();
     }
   }

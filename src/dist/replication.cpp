@@ -377,9 +377,9 @@ ReadResult ReplicationScheme::read(gcs::MultiCloudSession& session,
       continue;
     }
     worst_arrival = std::max(worst_arrival, d->arrival);
-    if (d->ok() &&
-        !(meta.crc != 0 && common::crc32c(d->result.data) != meta.crc) &&
-        d->arrival < best_arrival) {
+    // Only a virtually earlier response can win; hash nothing else.
+    if (d->arrival < best_arrival && d->ok() &&
+        !(meta.crc != 0 && common::crc32c(d->result.data) != meta.crc)) {
       best_arrival = d->arrival;
       best_data = std::move(d->result.data);
     }

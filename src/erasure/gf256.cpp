@@ -1,5 +1,6 @@
 #include "erasure/gf256.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -68,6 +69,32 @@ void mul_portable(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
   for (; i < n; ++i) dst[i] = nib_mul(lo, hi, src[i]);
 }
 
+// dst ^= srcs[0] ^ ... ^ srcs[nsrc-1]: every source is folded into a word
+// of dst while it is in a register, so dst is read and written once.
+using XorMultiFn = void (*)(std::uint8_t* dst,
+                            const std::uint8_t* const* srcs,
+                            std::size_t nsrc, std::size_t n);
+
+inline void xor_multi_tail(std::uint8_t* dst, const std::uint8_t* const* srcs,
+                           std::size_t nsrc, std::size_t i, std::size_t n) {
+  for (; i < n; ++i) {
+    std::uint8_t acc = dst[i];
+    for (std::size_t j = 0; j < nsrc; ++j) acc ^= srcs[j][i];
+    dst[i] = acc;
+  }
+}
+
+void xor_multi_portable(std::uint8_t* dst, const std::uint8_t* const* srcs,
+                        std::size_t nsrc, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t acc = load64(dst + i);
+    for (std::size_t j = 0; j < nsrc; ++j) acc ^= load64(srcs[j] + i);
+    store64(dst + i, acc);
+  }
+  xor_multi_tail(dst, srcs, nsrc, i, n);
+}
+
 #ifdef HYRD_GF256_X86
 
 // ---- SSSE3: PSHUFB does 16 nibble lookups per instruction ----
@@ -111,6 +138,27 @@ __attribute__((target("ssse3"))) void mul_ssse3(std::uint8_t* dst,
                      _mm_xor_si128(pl, ph));
   }
   for (; i < n; ++i) dst[i] = nib_mul(lo, hi, src[i]);
+}
+
+// ---- SSE2: the fused multi-source XOR, 32 B per step ----
+
+void xor_multi_sse2(std::uint8_t* dst, const std::uint8_t* const* srcs,
+                    std::size_t nsrc, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    __m128i a0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + i));
+    __m128i a1 =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + i + 16));
+    for (std::size_t j = 0; j < nsrc; ++j) {
+      a0 = _mm_xor_si128(
+          a0, _mm_loadu_si128(reinterpret_cast<const __m128i*>(srcs[j] + i)));
+      a1 = _mm_xor_si128(a1, _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                                 srcs[j] + i + 16)));
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), a0);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i + 16), a1);
+  }
+  xor_multi_tail(dst, srcs, nsrc, i, n);
 }
 
 // ---- AVX2: the same shuffle on 32-byte lanes, unrolled to 64 B/step ----
@@ -185,11 +233,41 @@ __attribute__((target("avx2"))) void mul_avx2(std::uint8_t* dst,
   for (; i < n; ++i) dst[i] = nib_mul(lo, hi, src[i]);
 }
 
+__attribute__((target("avx2"))) void xor_multi_avx2(
+    std::uint8_t* dst, const std::uint8_t* const* srcs, std::size_t nsrc,
+    std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 64 <= n; i += 64) {
+    __m256i a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
+    __m256i a1 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i + 32));
+    for (std::size_t j = 0; j < nsrc; ++j) {
+      a0 = _mm256_xor_si256(a0, _mm256_loadu_si256(
+                                    reinterpret_cast<const __m256i*>(srcs[j] + i)));
+      a1 = _mm256_xor_si256(a1, _mm256_loadu_si256(
+                                    reinterpret_cast<const __m256i*>(
+                                        srcs[j] + i + 32)));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), a0);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i + 32), a1);
+  }
+  for (; i + 32 <= n; i += 32) {
+    __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
+    for (std::size_t j = 0; j < nsrc; ++j) {
+      a = _mm256_xor_si256(
+          a, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(srcs[j] + i)));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), a);
+  }
+  xor_multi_tail(dst, srcs, nsrc, i, n);
+}
+
 #endif  // HYRD_GF256_X86
 
 struct KernelSet {
   RegionFn mul_add;
   RegionFn mul;
+  XorMultiFn xor_multi;
   std::string_view name;
 };
 
@@ -197,25 +275,16 @@ const KernelSet& kernels() {
   static const KernelSet ks = [] {
 #ifdef HYRD_GF256_X86
     if (__builtin_cpu_supports("avx2")) {
-      return KernelSet{mul_add_avx2, mul_avx2, "avx2"};
+      return KernelSet{mul_add_avx2, mul_avx2, xor_multi_avx2, "avx2"};
     }
     if (__builtin_cpu_supports("ssse3")) {
-      return KernelSet{mul_add_ssse3, mul_ssse3, "ssse3"};
+      return KernelSet{mul_add_ssse3, mul_ssse3, xor_multi_sse2, "ssse3"};
     }
 #endif
-    return KernelSet{mul_add_portable, mul_portable, "portable64"};
+    return KernelSet{mul_add_portable, mul_portable, xor_multi_portable,
+                     "portable64"};
   }();
   return ks;
-}
-
-// dst ^= src, 8 bytes per step (the c == 1 fast path; also cheap enough
-// that the compiler vectorizes it further at -O3).
-void xor_region(std::uint8_t* dst, const std::uint8_t* src, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    store64(dst + i, load64(dst + i) ^ load64(src + i));
-  }
-  for (; i < n; ++i) dst[i] ^= src[i];
 }
 
 }  // namespace
@@ -272,7 +341,8 @@ void GF256::mul_add_region(common::MutByteSpan dst, common::ByteSpan src,
   assert(dst.size() == src.size());
   if (c == 0 || dst.empty()) return;
   if (c == 1) {
-    xor_region(dst.data(), src.data(), dst.size());
+    const std::uint8_t* s = src.data();
+    kernels().xor_multi(dst.data(), &s, 1, dst.size());
     return;
   }
   kernels().mul_add(dst.data(), src.data(), dst.size(), nib_lo_[c].data(),
@@ -298,15 +368,32 @@ void GF256::mul_region(common::MutByteSpan dst, common::ByteSpan src,
 void GF256::mul_add_region_multi(common::MutByteSpan dst,
                                  std::span<const common::ByteSpan> srcs,
                                  const std::uint8_t* coeffs) const {
+  const std::size_t n = dst.size();
+  for (const auto& s : srcs) {
+    assert(s.size() == n);
+    (void)s;
+  }
+  if (std::all_of(coeffs, coeffs + srcs.size(),
+                  [](std::uint8_t c) { return c == 1; })) {
+    // An all-ones row (the RS m=1 parity, i.e. RAID5) is a plain XOR of
+    // every source: one fused pass over dst, in groups of kMaxFused
+    // sources so the pointer table stays on the stack.
+    constexpr std::size_t kMaxFused = 16;
+    const std::uint8_t* ptrs[kMaxFused];
+    for (std::size_t base = 0; base < srcs.size(); base += kMaxFused) {
+      const std::size_t count = std::min(kMaxFused, srcs.size() - base);
+      for (std::size_t j = 0; j < count; ++j) ptrs[j] = srcs[base + j].data();
+      kernels().xor_multi(dst.data(), ptrs, count, n);
+    }
+    return;
+  }
   // Chunk so the dst slice stays hot in L1 while every source is folded
   // in — one pass over dst per chunk instead of one per source.
   constexpr std::size_t kChunk = 8 * 1024;
-  const std::size_t n = dst.size();
   for (std::size_t off = 0; off < n; off += kChunk) {
     const std::size_t len = std::min(kChunk, n - off);
     auto d = dst.subspan(off, len);
     for (std::size_t j = 0; j < srcs.size(); ++j) {
-      assert(srcs[j].size() == n);
       mul_add_region(d, srcs[j].subspan(off, len), coeffs[j]);
     }
   }

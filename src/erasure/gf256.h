@@ -6,8 +6,10 @@
 // split low/high-nibble product tables: 16 bytes per nibble half, 32 bytes
 // per coefficient, exactly the layout a PSHUFB-style shuffle consumes.
 // At run time the widest available kernel is selected once: AVX2 (32 B per
-// step), SSSE3 (16 B), or a portable std::uint64_t path (8 B). A scalar
-// reference implementation is retained for property tests.
+// step), SSSE3 (16 B), or a portable std::uint64_t path (8 B); the same
+// dispatch carries the multi-source XOR used for c == 1 (AVX2 / SSE2 /
+// uint64). A scalar reference implementation is retained for property
+// tests.
 #pragma once
 
 #include <array>
@@ -56,7 +58,9 @@ class GF256 {
   /// Fused multi-source kernel: dst[i] ^= XOR_j coeffs[j] * srcs[j][i].
   /// Processes the region in L1-sized chunks so dst is read/written once
   /// per chunk instead of once per source — the encode path for a whole
-  /// parity row in a single pass over memory.
+  /// parity row in a single pass over memory. A row of all ones (RAID5
+  /// parity) takes the fused XOR kernel instead: each dst word is loaded
+  /// once, XORed with every source, and stored once.
   void mul_add_region_multi(common::MutByteSpan dst,
                             std::span<const common::ByteSpan> srcs,
                             const std::uint8_t* coeffs) const;

@@ -1,43 +1,19 @@
 #include "erasure/raid5.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cstring>
+
+#include "erasure/gf256.h"
 
 namespace hyrd::erasure {
 
 namespace {
 
-void xor_into(common::MutByteSpan dst, common::ByteSpan src) {
-  assert(dst.size() == src.size());
-  std::uint8_t* d = dst.data();
-  const std::uint8_t* s = src.data();
-  std::size_t n = dst.size();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    std::uint64_t a;
-    std::uint64_t b;
-    std::memcpy(&a, d + i, 8);
-    std::memcpy(&b, s + i, 8);
-    a ^= b;
-    std::memcpy(d + i, &a, 8);
-  }
-  for (; i < n; ++i) d[i] ^= s[i];
-}
-
-// XOR all shards into dst, chunked so the dst slice stays in L1 across
-// the whole accumulation instead of being streamed k times from memory.
+// dst ^= XOR of every shard, through GF256's fused all-ones-row kernel
+// (one pass over dst, every source folded in per word).
 void xor_accumulate(common::MutByteSpan dst,
-                    std::span<const common::Bytes> shards) {
-  constexpr std::size_t kChunk = 8 * 1024;
-  const std::size_t n = dst.size();
-  for (std::size_t off = 0; off < n; off += kChunk) {
-    const std::size_t len = std::min(kChunk, n - off);
-    for (const auto& s : shards) {
-      xor_into(dst.subspan(off, len),
-               common::ByteSpan(s).subspan(off, len));
-    }
-  }
+                    std::span<const common::ByteSpan> shards) {
+  const std::vector<std::uint8_t> ones(shards.size(), 1);
+  GF256::instance().mul_add_region_multi(dst, shards, ones.data());
 }
 
 }  // namespace
@@ -55,8 +31,9 @@ common::Result<common::Bytes> Raid5::encode(
       return common::invalid_argument("data shards must be equally sized");
     }
   }
+  const std::vector<common::ByteSpan> views(data.begin(), data.end());
   common::Bytes parity(shard_size, 0);
-  xor_accumulate(parity, data);
+  xor_accumulate(parity, views);
   return parity;
 }
 
@@ -80,14 +57,17 @@ common::Status Raid5::reconstruct(
   if (missing_count > 1) {
     return common::data_loss("RAID5 tolerates a single missing shard");
   }
-  common::Bytes out(shard_size, 0);
+  std::vector<common::ByteSpan> survivors;
+  survivors.reserve(k_);
   for (std::size_t i = 0; i < shards.size(); ++i) {
     if (i == missing) continue;
     if (shards[i]->size() != shard_size) {
       return common::invalid_argument("present shards differ in size");
     }
-    xor_into(out, *shards[i]);
+    survivors.emplace_back(*shards[i]);
   }
+  common::Bytes out(shard_size, 0);
+  xor_accumulate(out, survivors);
   shards[missing] = std::move(out);
   return common::Status::ok();
 }

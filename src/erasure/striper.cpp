@@ -53,10 +53,46 @@ StripeSet Striper::encode(common::ByteSpan object) const {
   return set;
 }
 
+std::size_t Striper::object_bytes_in(std::size_t index,
+                                     std::uint64_t object_size,
+                                     std::size_t shard_size) {
+  const std::uint64_t offset = static_cast<std::uint64_t>(index) * shard_size;
+  if (offset >= object_size) return 0;
+  return static_cast<std::size_t>(
+      std::min<std::uint64_t>(object_size - offset, shard_size));
+}
+
+ShardCrc Striper::data_shard_crc(common::ByteSpan shard,
+                                 std::size_t object_bytes) {
+  assert(object_bytes <= shard.size());
+  ShardCrc out;
+  out.object = common::crc32c(shard.first(object_bytes));
+  out.shard = object_bytes == shard.size()
+                  ? out.object
+                  : common::crc32c(shard.subspan(object_bytes), out.object);
+  return out;
+}
+
+std::uint32_t Striper::object_crc_from(std::span<const std::uint32_t> data_crcs,
+                                       std::uint64_t object_size,
+                                       std::size_t shard_size) {
+  std::uint32_t crc = 0;  // crc32c of the empty prefix
+  for (std::size_t i = 0; i < data_crcs.size(); ++i) {
+    crc = common::crc32c_combine(crc, data_crcs[i],
+                                 object_bytes_in(i, object_size, shard_size));
+  }
+  return crc;
+}
+
 common::Result<common::Buffer> Striper::decode(const StripeSet& set) const {
   if (set.shards.size() != geometry_.total()) {
     return common::invalid_argument("stripe set has wrong shard count");
   }
+  return join_checked(set, {});
+}
+
+common::Result<common::Buffer> Striper::join_checked(
+    const StripeSet& set, std::span<const std::uint32_t> data_crcs) const {
   const std::span<const common::Buffer> data_shards(set.shards.data(),
                                                     geometry_.k);
   common::Buffer object;
@@ -81,17 +117,27 @@ common::Result<common::Buffer> Striper::decode(const StripeSet& set) const {
   }
   // 0 is the "digest unknown" sentinel (e.g. after an in-place RMW update,
   // which invalidates the whole-object CRC without recomputing it).
-  if (set.object_crc != 0 && common::crc32c(object) != set.object_crc) {
-    return common::data_loss("object CRC mismatch after reassembly");
+  if (set.object_crc != 0) {
+    const std::uint32_t got =
+        data_crcs.empty()
+            ? common::crc32c(object)
+            : object_crc_from(data_crcs, set.object_size, set.shard_size);
+    if (got != set.object_crc) {
+      return common::data_loss("object CRC mismatch after reassembly");
+    }
   }
   return object;
 }
 
 common::Result<common::Buffer> Striper::assemble(
     std::uint64_t object_size, std::uint32_t crc,
-    std::vector<std::optional<common::Buffer>> shards) const {
+    std::vector<std::optional<common::Buffer>> shards,
+    std::span<const std::uint32_t> data_crcs) const {
   if (shards.size() != geometry_.total()) {
     return common::invalid_argument("wrong fragment slot count");
+  }
+  if (!data_crcs.empty() && data_crcs.size() != geometry_.k) {
+    return common::invalid_argument("need one CRC per data fragment");
   }
   bool have_all_data = true;
   for (std::size_t i = 0; i < geometry_.k; ++i) {
@@ -112,7 +158,7 @@ common::Result<common::Buffer> Striper::assemble(
       // first k, so fill gaps with empty placeholders.
       set.shards.push_back(s.has_value() ? *std::move(s) : common::Buffer());
     }
-    return decode(set);
+    return join_checked(set, data_crcs);
   }
   // Degraded: reconstruction mutates shards in place, so the codec works
   // on owned vectors (each survivor is copied out of its shared block).

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/buffer.h"
@@ -40,6 +41,13 @@ struct StripeSet {
   std::uint32_t object_crc = 0;       // CRC32C of the original object
 };
 
+/// CRCs of one data shard from a single pass: the object bytes it carries
+/// are hashed first, then the zero padding is chained on.
+struct ShardCrc {
+  std::uint32_t object = 0;  // CRC32C of the shard's object bytes
+  std::uint32_t shard = 0;   // CRC32C of the whole (padded) shard
+};
+
 class Striper {
  public:
   explicit Striper(StripeGeometry geometry);
@@ -65,9 +73,17 @@ class Striper {
   /// slots may be missing). With all k data shards present this is
   /// decode()'s zero-copy/gather path; otherwise missing shards are
   /// reconstructed first (any k suffice). CRC-checks the object.
+  ///
+  /// `data_crcs` is empty, or holds the ShardCrc::object value of each of
+  /// the k data shards, computed from those very bytes while verifying
+  /// them. When all k data shards are present the object CRC is then
+  /// derived from them with crc32c_combine instead of re-hashing the
+  /// joined object — the same check, since the object is exactly their
+  /// concatenation. Reconstructed objects are always re-hashed.
   [[nodiscard]] common::Result<common::Buffer> assemble(
       std::uint64_t object_size, std::uint32_t crc,
-      std::vector<std::optional<common::Buffer>> shards) const;
+      std::vector<std::optional<common::Buffer>> shards,
+      std::span<const std::uint32_t> data_crcs = {}) const;
 
   /// Degraded decode: reconstructs missing shards first (any k suffice),
   /// then reassembles and CRC-checks the object.
@@ -78,7 +94,29 @@ class Striper {
   /// Shard size implied by an object size under this geometry.
   [[nodiscard]] std::size_t shard_size_for(std::uint64_t object_size) const;
 
+  /// Object bytes carried by data shard `index` (the rest is padding).
+  [[nodiscard]] static std::size_t object_bytes_in(std::size_t index,
+                                                   std::uint64_t object_size,
+                                                   std::size_t shard_size);
+
+  /// Hashes a data shard once, yielding both of its ShardCrc values.
+  /// `object_bytes` must not exceed the shard's size.
+  [[nodiscard]] static ShardCrc data_shard_crc(common::ByteSpan shard,
+                                               std::size_t object_bytes);
+
+  /// CRC32C of the object, combined from its data shards' ShardCrc::object
+  /// values in shard order — no byte is read.
+  [[nodiscard]] static std::uint32_t object_crc_from(
+      std::span<const std::uint32_t> data_crcs, std::uint64_t object_size,
+      std::size_t shard_size);
+
  private:
+  /// Joins the k data shards of `set` into the object and checks it
+  /// against set.object_crc: derived from `data_crcs` when given (k
+  /// entries), otherwise by hashing the joined object.
+  [[nodiscard]] common::Result<common::Buffer> join_checked(
+      const StripeSet& set, std::span<const std::uint32_t> data_crcs) const;
+
   StripeGeometry geometry_;
   ReedSolomon codec_;
 };

@@ -238,15 +238,22 @@ std::vector<CloudCompletion> AsyncBatch::await_first(std::size_t need,
                                                      UsableFn usable) {
   if (!usable) usable = default_usable;
   std::unique_lock lock(mu_);
-  const auto usable_count = [&] {
-    std::size_t n = 0;
-    for (const auto& rec : ops_) {
-      if (rec.resolved && usable(rec.completion)) ++n;
+  // Judges each resolved op once; later wake-ups only look at new ones.
+  std::vector<bool> judged;
+  std::size_t usable_count = 0;
+  const auto judge_resolved = [&] {
+    judged.resize(ops_.size(), false);
+    for (std::size_t i = 0; i < ops_.size(); ++i) {
+      OpRec& rec = ops_[i];
+      if (!rec.resolved || judged[i]) continue;
+      judged[i] = true;
+      rec.completion.usable = usable(rec.completion);
+      if (rec.completion.usable) ++usable_count;
     }
-    return n;
   };
   cv_.wait(lock, [&] {
-    return usable_count() >= need || resolved_count_ == ops_.size();
+    judge_resolved();
+    return usable_count >= need || resolved_count_ == ops_.size();
   });
   // Enough usable responses virtually in hand (or nothing left to wait
   // for): the remaining in-flight tail is pure cost. Tear it down, then
@@ -255,13 +262,14 @@ std::vector<CloudCompletion> AsyncBatch::await_first(std::size_t need,
     if (!rec.resolved) rec.cancel.store(true, std::memory_order_release);
   }
   wait_all_resolved(lock);
+  judge_resolved();
 
   std::vector<common::SimDuration> arrivals;
   common::SimDuration max_arrival = 0;
   for (const auto& rec : ops_) {
     if (rec.completion.cancelled) continue;
     max_arrival = std::max(max_arrival, rec.completion.arrival);
-    if (usable(rec.completion)) arrivals.push_back(rec.completion.arrival);
+    if (rec.completion.usable) arrivals.push_back(rec.completion.arrival);
   }
   common::SimDuration latency = max_arrival;  // fallback: not enough usable
   if (need > 0 && arrivals.size() >= need) {

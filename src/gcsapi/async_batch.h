@@ -129,6 +129,7 @@ struct CloudCompletion {
   cloud::GetResult result;
   common::SimDuration arrival = 0;  // start_offset + result.latency
   bool cancelled = false;           // torn down (pre- or mid-dispatch)
+  bool usable = false;  // await_first's verdict: its `usable` predicate
 
   [[nodiscard]] bool ok() const { return !cancelled && result.status.is_ok(); }
 };
@@ -194,7 +195,9 @@ class AsyncBatch {
   /// Waits until `need` completions satisfying `usable` (default: ok())
   /// have resolved — or everything resolved — then cancels and drains the
   /// stragglers. Latency = need-th smallest usable arrival; falls back to
-  /// await_all's max when fewer than `need` usable ops exist.
+  /// await_all's max when fewer than `need` usable ops exist. `usable` runs
+  /// once per completion (it may hash a payload); its verdict is returned
+  /// in CloudCompletion::usable.
   std::vector<CloudCompletion> await_first(std::size_t need,
                                            BatchStats* stats = nullptr,
                                            UsableFn usable = {});

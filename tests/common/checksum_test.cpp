@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
+#include "common/rng.h"
 
 namespace hyrd::common {
 namespace {
@@ -82,6 +83,77 @@ TEST(Crc32c, WideMatchesReferenceAllLengths) {
           << "seeded off=" << off << " len=" << len;
     }
   }
+}
+
+TEST(Crc32c, WideMatchesReferenceAroundBlockBoundaries) {
+  // The hardware kernel hashes runs of three 8 KiB blocks, then runs of
+  // three 256 B blocks, then single words and bytes. Every length within
+  // 8 bytes of a multiple of either run size (768 B and 24 KiB) moves a
+  // boundary between those stages; check each against the reference at
+  // several alignments and seeds.
+  constexpr std::size_t kShortRun = 3 * 256;
+  constexpr std::size_t kLongRun = 3 * 8192;
+  std::vector<std::size_t> centres;
+  for (std::size_t c = kShortRun; c <= 2 * kLongRun + kShortRun;
+       c += kShortRun) {
+    centres.push_back(c);
+  }
+  for (std::size_t c = 3 * kLongRun; c <= 4 * kLongRun; c += kLongRun) {
+    centres.push_back(c);
+  }
+  const Bytes base = patterned(4 * kLongRun + 16, 53);
+  for (const std::size_t centre : centres) {
+    for (std::size_t len = centre - 8; len <= centre + 8; ++len) {
+      for (const std::size_t off :
+           {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{7}}) {
+        const ByteSpan span(base.data() + off, len);
+        for (const std::uint32_t seed : {0u, 0xDEADBEEFu, 0xFFFFFFFFu}) {
+          ASSERT_EQ(crc32c(span, seed), crc32c_reference(span, seed))
+              << "off=" << off << " len=" << len << " seed=" << seed;
+        }
+      }
+    }
+  }
+}
+
+TEST(Crc32cCombine, EqualsCrcOfConcatenation) {
+  const Bytes data = patterned((1u << 20) + 4099, 61);
+  const std::uint32_t whole = crc32c(data);
+  Xoshiro256 rng(7);
+  std::vector<std::size_t> splits = {0, 1, data.size() - 1, data.size()};
+  for (int i = 0; i < 60; ++i) splits.push_back(rng() % (data.size() + 1));
+  for (const std::size_t split : splits) {
+    const ByteSpan a(data.data(), split);
+    const ByteSpan b(data.data() + split, data.size() - split);
+    EXPECT_EQ(crc32c_combine(crc32c(a), crc32c(b), b.size()), whole)
+        << "split=" << split;
+  }
+}
+
+TEST(Crc32cCombine, EmptySuffixIsIdentity) {
+  const Bytes data = patterned(777, 5);
+  const std::uint32_t crc = crc32c(data);
+  EXPECT_EQ(crc32c_combine(crc, crc32c({}), 0), crc);
+  EXPECT_EQ(crc32c_combine(0, crc, data.size()), crc);  // empty prefix
+}
+
+TEST(Crc32cCombine, SuffixLongerThanOneMiB) {
+  // len_b > 1 MiB exercises the high powers of the x^(2^k) table; chaining
+  // three pieces checks that combined CRCs combine again.
+  const Bytes data = patterned(3 * (1u << 20) + 17, 67);
+  const std::size_t cut1 = 100;
+  const std::size_t cut2 = cut1 + (1u << 20) + 5;
+  const ByteSpan a(data.data(), cut1);
+  const ByteSpan b(data.data() + cut1, cut2 - cut1);
+  const ByteSpan c(data.data() + cut2, data.size() - cut2);
+  ASSERT_GT(c.size(), std::size_t{1} << 20);
+  const std::uint32_t ab =
+      crc32c_combine(crc32c(a), crc32c(b), b.size());
+  EXPECT_EQ(crc32c_combine(ab, crc32c(c), c.size()), crc32c(data));
+  EXPECT_EQ(crc32c_combine(crc32c(a),
+                           crc32c_combine(crc32c(b), crc32c(c), c.size()),
+                           b.size() + c.size()),
+            crc32c(data));
 }
 
 TEST(Fnv1a, MatchesKnownValues) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cloud/profiles.h"
+#include "common/checksum.h"
 
 namespace hyrd::dist {
 namespace {
@@ -69,6 +70,93 @@ TEST_F(ErasureSchemeTest, ReadReturnsExactBytesForManySizes) {
     auto r = scheme_.read(*session_, w.meta);
     ASSERT_TRUE(r.status.is_ok()) << size;
     EXPECT_EQ(r.data, data) << size;
+  }
+}
+
+// Fragment slots over the four standard providers; wider stripes reuse
+// providers (fragment names differ per slot).
+std::vector<std::size_t> round_robin_slots(const gcs::MultiCloudSession& s,
+                                           std::size_t total) {
+  const std::vector<std::size_t> four = {
+      s.index_of("Rackspace"), s.index_of("Aliyun"),
+      s.index_of("WindowsAzure"), s.index_of("AmazonS3")};
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < total; ++i) out.push_back(four[i % 4]);
+  return out;
+}
+
+TEST(ErasureSchemeCrc, ObjectCrcCombinedFromFragmentsEqualsWholeHash) {
+  // The write path derives meta.crc from the data fragments' CRCs instead
+  // of hashing the object; it must equal crc32c(object) for padded and
+  // unpadded sizes, and every fragment digest must match its stored bytes.
+  for (const erasure::StripeGeometry g :
+       {erasure::StripeGeometry{2, 1}, erasure::StripeGeometry{3, 1},
+        erasure::StripeGeometry{4, 2}}) {
+    cloud::CloudRegistry registry;
+    cloud::install_standard_four(registry, 17);
+    gcs::MultiCloudSession session(registry);
+    session.ensure_container_everywhere("data");
+    const ErasureScheme scheme("data", g);
+    const auto slots = round_robin_slots(session, g.k + g.m);
+    for (const std::uint64_t size :
+         {1ull, 5ull, 4096ull, 12ull << 10, (12ull << 10) + 1,
+          (3ull << 20) + 7, 3ull << 20}) {
+      const std::string path = "/c" + std::to_string(size);
+      const auto data = common::patterned(size, size + g.k);
+      auto w = scheme.write(session, path, data, slots);
+      ASSERT_TRUE(w.status.is_ok());
+      EXPECT_EQ(w.meta.crc, common::crc32c(data))
+          << "k=" << g.k << " m=" << g.m << " size=" << size;
+      ASSERT_EQ(w.meta.fragment_crcs.size(), g.k + g.m);
+      for (std::size_t i = 0; i < g.k + g.m; ++i) {
+        auto* provider = registry.find(w.meta.locations[i].provider);
+        auto stored =
+            provider->raw_store().get("data", w.meta.locations[i].object_name);
+        ASSERT_TRUE(stored.is_ok());
+        EXPECT_EQ(w.meta.fragment_crcs[i], common::crc32c(stored.value()))
+            << "k=" << g.k << " size=" << size << " slot=" << i;
+      }
+      for (const auto strategy : {ErasureReadStrategy::kPreferredK,
+                                  ErasureReadStrategy::kFastestK}) {
+        ErasureScheme reader("data", g);
+        reader.set_read_strategy(strategy);
+        auto r = reader.read(session, w.meta);
+        ASSERT_TRUE(r.status.is_ok()) << "k=" << g.k << " size=" << size;
+        EXPECT_EQ(r.data, data) << "k=" << g.k << " size=" << size;
+      }
+    }
+  }
+}
+
+TEST(ErasureSchemeCrc, TamperedObjectCrcIsDataLossWithAllFragmentsIntact) {
+  // Every fragment verifies, so the object check is the derived one (or a
+  // whole-object hash if a parity fragment wins the fastest-k race); a
+  // meta.crc that does not match the bytes must still be refused.
+  for (const erasure::StripeGeometry g :
+       {erasure::StripeGeometry{2, 1}, erasure::StripeGeometry{3, 1},
+        erasure::StripeGeometry{4, 2}}) {
+    cloud::CloudRegistry registry;
+    cloud::install_standard_four(registry, 19);
+    gcs::MultiCloudSession session(registry);
+    session.ensure_container_everywhere("data");
+    const ErasureScheme scheme("data", g);
+    const auto slots = round_robin_slots(session, g.k + g.m);
+    for (const std::uint64_t size : {4097ull, 12ull << 10}) {
+      auto w = scheme.write(session, "/t" + std::to_string(size),
+                            common::patterned(size, 3), slots);
+      ASSERT_TRUE(w.status.is_ok());
+      meta::FileMeta tampered = w.meta;
+      tampered.crc ^= 0x00010000u;
+      for (const auto strategy : {ErasureReadStrategy::kPreferredK,
+                                  ErasureReadStrategy::kFastestK}) {
+        ErasureScheme reader("data", g);
+        reader.set_read_strategy(strategy);
+        const auto r = reader.read(session, tampered);
+        EXPECT_EQ(r.status.code(), common::StatusCode::kDataLoss)
+            << "k=" << g.k << " size=" << size;
+        EXPECT_FALSE(r.degraded) << "k=" << g.k << " size=" << size;
+      }
+    }
   }
 }
 

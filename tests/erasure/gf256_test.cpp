@@ -207,6 +207,40 @@ TEST(GF256, MulAddRegionMultiMatchesSequentialApplication) {
   }
 }
 
+TEST(GF256, AllOnesRowFusedXorMatchesScalar) {
+  // An all-ones coefficient row takes the fused multi-source XOR kernel.
+  // Check it against the scalar reference for 1..8 sources (and past the
+  // 16-source group size), odd lengths that leave every tail size, and
+  // sources and destination that start off any vector alignment.
+  for (const std::size_t nsrc :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
+        std::size_t{5}, std::size_t{6}, std::size_t{7}, std::size_t{8},
+        std::size_t{17}}) {
+    for (const std::size_t len :
+         {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{31},
+          std::size_t{33}, std::size_t{63}, std::size_t{65}, std::size_t{127},
+          std::size_t{1001}, std::size_t{8193}}) {
+      for (const std::size_t off : {std::size_t{0}, std::size_t{3}}) {
+        std::vector<common::Bytes> shards;
+        std::vector<common::ByteSpan> srcs;
+        for (std::size_t j = 0; j < nsrc; ++j) {
+          shards.push_back(common::patterned(len + off, 100 + j));
+        }
+        for (const auto& sh : shards) srcs.emplace_back(sh.data() + off, len);
+        const std::vector<std::uint8_t> ones(nsrc, 1);
+        common::Bytes got_buf = common::patterned(len + off, 9);
+        common::Bytes want_buf = got_buf;
+        const common::MutByteSpan got(got_buf.data() + off, len);
+        const common::MutByteSpan want(want_buf.data() + off, len);
+        gf().mul_add_region_multi(got, srcs, ones.data());
+        for (const auto& src : srcs) gf().mul_add_region_scalar(want, src, 1);
+        ASSERT_EQ(got_buf, want_buf)
+            << "nsrc=" << nsrc << " len=" << len << " off=" << off;
+      }
+    }
+  }
+}
+
 TEST(GF256, RegionKernelNameIsReported) {
   // Smoke check for the dispatcher: some kernel must have been chosen.
   EXPECT_FALSE(GF256::region_kernel_name().empty());
