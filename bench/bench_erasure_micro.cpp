@@ -186,6 +186,29 @@ void BM_StriperEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_StriperEncode)->Range(64 << 10, 16 << 20);
 
+// The erasure write's per-byte work: RAID5 parity for k=2 plus the CRC of
+// every data and parity fragment, in one chunked pass. Parity accumulates
+// across iterations; the pass's cost does not depend on its content.
+void BM_StripePass(benchmark::State& state) {
+  constexpr std::size_t k = 2;
+  const std::size_t shard_size = static_cast<std::size_t>(state.range(0));
+  const erasure::Striper striper({.k = k, .m = 1});
+  const auto shards = make_shards(k, shard_size);
+  const std::vector<common::ByteSpan> data(shards.begin(), shards.end());
+  const std::vector<std::size_t> object_bytes(k, shard_size);
+  common::Bytes parity(shard_size, 0);
+  const std::vector<common::MutByteSpan> parity_views = {parity};
+  for (auto _ : state) {
+    auto crcs = striper.encode_with_crcs(data, object_bytes, parity_views);
+    benchmark::DoNotOptimize(crcs.data());
+    benchmark::DoNotOptimize(parity.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(k * shard_size));
+}
+BENCHMARK(BM_StripePass)->Arg(1 << 20);
+
 void BM_FmsrEncode(benchmark::State& state) {
   erasure::Fmsr code(4, 2);
   common::Xoshiro256 rng(1);
@@ -251,6 +274,24 @@ void BM_Crc32c(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32c)->Range(1 << 10, 4 << 20);
 
+// One CRC32C kernel tier on its own (registered in main, one per tier this
+// host runs), over `range(0)` bytes taken in turn from a `range(1)`-byte
+// working set, so a working set above L2 measures the memory-fed rate.
+void BM_Crc32cTier(benchmark::State& state,
+                   const common::detail::Crc32cKernel& kernel) {
+  const auto len = static_cast<std::size_t>(state.range(0));
+  const auto set = static_cast<std::size_t>(state.range(1));
+  const auto data = common::patterned(set, 13);
+  std::size_t off = 0;
+  for (auto _ : state) {
+    auto crc = kernel.fn(common::ByteSpan(data).subspan(off, len), 0);
+    benchmark::DoNotOptimize(crc);
+    off = off + 2 * len <= set ? off + len : 0;
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+
 // Combining two CRCs costs O(log len_b) GF(2) products, independent of
 // the bytes; the argument is len_b.
 void BM_Crc32cCombine(benchmark::State& state) {
@@ -304,6 +345,18 @@ int main(int argc, char** argv) {
   int cargc = static_cast<int>(cargv.size());
   benchmark::Initialize(&cargc, cargv.data());
   if (benchmark::ReportUnrecognizedArguments(cargc, cargv.data())) return 1;
+  for (const auto& kernel : common::detail::crc32c_kernels()) {
+    benchmark::RegisterBenchmark(
+        ("BM_Crc32cTier/" + std::string(kernel.name)).c_str(), BM_Crc32cTier,
+        kernel)
+        ->Args({4 << 10, 4 << 10})
+        ->Args({64 << 10, 64 << 10})
+        ->Args({1 << 20, 4 << 20});
+  }
+  benchmark::AddCustomContext("crc32c_kernel",
+                              std::string(common::crc32c_kernel_name()));
+  benchmark::AddCustomContext(
+      "gf256_kernel", std::string(erasure::GF256::region_kernel_name()));
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

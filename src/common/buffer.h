@@ -202,8 +202,8 @@ class MutableBuffer {
   /// Seals the arena. The MutableBuffer is spent afterwards. Writers may
   /// keep MutByteSpans taken *before* freeze() and fill disjoint regions
   /// that no Buffer view has been sliced over yet (the erasure write path
-  /// does this for parity, which is encoded after the data fragments are
-  /// already in flight).
+  /// does this for parity: its stripe pass encodes parity after the data
+  /// fragments are already in flight).
   [[nodiscard]] Buffer freeze() && {
     const std::uint8_t* ptr = block_->data();
     const std::size_t len = block_->size();

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -99,14 +100,17 @@ constexpr X2nTable make_x2n_table() {
 
 constexpr X2nTable kX2n = make_x2n_table();
 
-/// x^(8n) mod P: the multiplier that shifts a CRC register past n zero bytes.
-constexpr std::uint32_t x8nmodp(std::uint64_t n) {
+/// x^(n * 2^k) mod P.
+constexpr std::uint32_t xnmodp(std::uint64_t n, int k = 0) {
   std::uint32_t p = 1u << 31;  // x^0
-  for (int k = 3; n != 0; n >>= 1, ++k) {
+  for (; n != 0; n >>= 1, ++k) {
     if (n & 1u) p = multmodp(kX2n.t[k], p);
   }
   return p;
 }
+
+/// x^(8n) mod P: the multiplier that shifts a CRC register past n zero bytes.
+constexpr std::uint32_t x8nmodp(std::uint64_t n) { return xnmodp(n, 3); }
 
 // Table form of "multiply a register by x^(8n)" for one fixed n: the
 // product is linear in the register, so it is the XOR of four per-byte
@@ -188,19 +192,143 @@ __attribute__((target("sse4.2"))) std::uint32_t crc32c_hw(std::uint32_t crc,
   while (n-- > 0) crc = _mm_crc32_u8(crc, *p++);
   return crc;
 }
+
+// Carry-less-multiply kernel. Four 512-bit accumulators hold a 256 B
+// window as sixteen 128-bit lanes. Each step folds every lane 256 B
+// forward and XORs in the next window: a lane A is the polynomial
+// H*x^64 + L, with the high-degree half H in its low qword (reflected
+// form), so moving it F bytes on is H*x^(8F+64) + L*x^(8F). A carry-less
+// product of a reflected qword and a reflected 32-bit constant lands 33
+// bits low in the lane, hence the constants x^(8F+31) and x^(8F-33) mod
+// P. The lanes then fold into one 128-bit remainder that two CRC32
+// instructions reduce to the register (no Barrett step); the tail under
+// 256 B continues on the SSE4.2 kernel.
+#define HYRD_CRC_VPCLMUL \
+  __attribute__((target("avx512f,avx512bw,avx512vl,vpclmulqdq,pclmul,sse4.2")))
+
+constexpr std::size_t kFoldMin = 512;  // shorter inputs stay on SSE4.2
+
+struct FoldConst {
+  std::uint64_t lo;  // multiplies the low (high-degree) qword
+  std::uint64_t hi;  // multiplies the high qword
+};
+
+constexpr FoldConst fold_const(std::size_t bytes) {
+  return {xnmodp(8 * bytes + 31), xnmodp(8 * bytes - 33)};
+}
+
+constexpr FoldConst kFold256 = fold_const(256);
+constexpr FoldConst kFold192 = fold_const(192);
+constexpr FoldConst kFold128 = fold_const(128);
+constexpr FoldConst kFold64 = fold_const(64);
+constexpr FoldConst kFold48 = fold_const(48);
+constexpr FoldConst kFold32 = fold_const(32);
+constexpr FoldConst kFold16 = fold_const(16);
+
+HYRD_CRC_VPCLMUL inline __m512i broadcast_fold(FoldConst f) {
+  const auto lo = static_cast<long long>(f.lo);
+  const auto hi = static_cast<long long>(f.hi);
+  return _mm512_set_epi64(hi, lo, hi, lo, hi, lo, hi, lo);
+}
+
+/// Lane i of `v` XOR lane i+2, then of that lane 0 XOR lane 1: the XOR of
+/// all four 128-bit lanes. (The all-ones-mask forms keep GCC's intrinsic
+/// headers from reading an undefined pass-through register.)
+HYRD_CRC_VPCLMUL inline __m128i xor_lanes(__m512i v) {
+  v = _mm512_xor_si512(v, _mm512_maskz_shuffle_i64x2(0xFF, v, v, 0x4E));
+  v = _mm512_xor_si512(v, _mm512_maskz_shuffle_i64x2(0xFF, v, v, 0xB1));
+  return _mm512_maskz_extracti32x4_epi32(0xF, v, 0);
+}
+
+/// Every lane of `acc` moved forward by the distance `k` encodes, XORed
+/// into `next`.
+HYRD_CRC_VPCLMUL inline __m512i fold512(__m512i acc, __m512i k,
+                                        __m512i next) {
+  return _mm512_ternarylogic_epi64(_mm512_clmulepi64_epi128(acc, k, 0x00),
+                                   _mm512_clmulepi64_epi128(acc, k, 0x11),
+                                   next, 0x96);
+}
+
+HYRD_CRC_VPCLMUL std::uint32_t crc32c_vpclmul(std::uint32_t crc,
+                                              const std::uint8_t* p,
+                                              std::size_t n) {
+  if (n >= kFoldMin) {
+    // The register enters as the first four message bytes' XOR mask.
+    __m512i z0 = _mm512_xor_si512(
+        _mm512_loadu_si512(p),
+        _mm512_zextsi128_si512(_mm_cvtsi32_si128(static_cast<int>(crc))));
+    __m512i z1 = _mm512_loadu_si512(p + 64);
+    __m512i z2 = _mm512_loadu_si512(p + 128);
+    __m512i z3 = _mm512_loadu_si512(p + 192);
+    p += 256;
+    n -= 256;
+    const __m512i k256 = broadcast_fold(kFold256);
+    for (; n >= 256; p += 256, n -= 256) {
+      z0 = fold512(z0, k256, _mm512_loadu_si512(p));
+      z1 = fold512(z1, k256, _mm512_loadu_si512(p + 64));
+      z2 = fold512(z2, k256, _mm512_loadu_si512(p + 128));
+      z3 = fold512(z3, k256, _mm512_loadu_si512(p + 192));
+    }
+    // 4 -> 1 zmm: each accumulator folds onto the last one.
+    const __m512i z =
+        fold512(z0, broadcast_fold(kFold192),
+                fold512(z1, broadcast_fold(kFold128),
+                        fold512(z2, broadcast_fold(kFold64), z3)));
+    // 4 -> 1 xmm: lanes 0..2 fold 48/32/16 bytes onto lane 3, which
+    // enters as is (its constant is zero, so its products vanish).
+    const __m512i kr = _mm512_set_epi64(
+        0, 0, static_cast<long long>(kFold16.hi),
+        static_cast<long long>(kFold16.lo), static_cast<long long>(kFold32.hi),
+        static_cast<long long>(kFold32.lo), static_cast<long long>(kFold48.hi),
+        static_cast<long long>(kFold48.lo));
+    const __m128i r = xor_lanes(_mm512_ternarylogic_epi64(
+        _mm512_clmulepi64_epi128(z, kr, 0x00),
+        _mm512_clmulepi64_epi128(z, kr, 0x11), _mm512_maskz_mov_epi64(0xC0, z),
+        0x96));
+    std::uint64_t c = _mm_crc32_u64(0, static_cast<std::uint64_t>(
+                                           _mm_cvtsi128_si64(r)));
+    c = _mm_crc32_u64(
+        c, static_cast<std::uint64_t>(_mm_extract_epi64(r, 1)));
+    crc = static_cast<std::uint32_t>(c);
+  }
+  // Explicit: GCC emits no vzeroupper before a sibling call, and dirty
+  // upper zmm state slows every later SSE instruction on this thread.
+  _mm256_zeroupper();
+  return crc32c_hw(crc, p, n);
+}
+#undef HYRD_CRC_VPCLMUL
 #endif
 
 using CrcFn = std::uint32_t (*)(std::uint32_t, const std::uint8_t*,
                                 std::size_t);
 
-CrcFn pick_crc32c() {
-#ifdef HYRD_CRC_X86
-  if (__builtin_cpu_supports("sse4.2")) return crc32c_hw;
-#endif
-  return crc32c_sw;
+/// A register-level kernel with crc32c()'s contract (seed and result
+/// inverted).
+template <CrcFn kFn>
+std::uint32_t seeded(ByteSpan data, std::uint32_t seed) {
+  return ~kFn(~seed, data.data(), data.size());
 }
 
-const CrcFn kCrcImpl = pick_crc32c();
+/// Every tier this host runs, fastest first; crc32c() uses the first.
+std::vector<detail::Crc32cKernel> host_kernels() {
+  std::vector<detail::Crc32cKernel> kernels;
+#ifdef HYRD_CRC_X86
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+      __builtin_cpu_supports("avx512vl") &&
+      __builtin_cpu_supports("vpclmulqdq") &&
+      __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.2")) {
+    kernels.push_back({"vpclmulqdq", seeded<crc32c_vpclmul>});
+  }
+  if (__builtin_cpu_supports("sse4.2")) {
+    kernels.push_back({"sse4.2", seeded<crc32c_hw>});
+  }
+#endif
+  kernels.push_back({"slicing8", seeded<crc32c_sw>});
+  return kernels;
+}
+
+const std::vector<detail::Crc32cKernel> kKernels = host_kernels();
+const detail::Crc32cKernel kBest = kKernels.front();
 
 constexpr std::array<std::uint32_t, 64> kSha256K = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
@@ -218,7 +346,13 @@ constexpr std::array<std::uint32_t, 64> kSha256K = {
 }  // namespace
 
 std::uint32_t crc32c(ByteSpan data, std::uint32_t seed) {
-  return ~kCrcImpl(~seed, data.data(), data.size());
+  return kBest.fn(data, seed);
+}
+
+std::string_view crc32c_kernel_name() { return kBest.name; }
+
+std::span<const detail::Crc32cKernel> detail::crc32c_kernels() {
+  return kKernels;
 }
 
 std::uint32_t crc32c_combine(std::uint32_t crc_a, std::uint32_t crc_b,

@@ -9,17 +9,36 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "common/bytes.h"
 
 namespace hyrd::common {
 
 /// CRC-32C (Castagnoli, polynomial 0x1EDC6F41). Slicing-by-8 software
-/// path, upgraded at run time to a three-stream SSE4.2 CRC32 kernel when
-/// the host supports it. Chaining property:
+/// path, upgraded at run time to a three-stream SSE4.2 CRC32 kernel, and
+/// for inputs of 512 B or more to a VPCLMULQDQ folding kernel, when the
+/// host supports them. Chaining property:
 /// crc32c(a+b) == crc32c(b, crc32c(a)).
 std::uint32_t crc32c(ByteSpan data, std::uint32_t seed = 0);
+
+/// Name of the CRC32C kernel selected at run time ("vpclmulqdq", "sse4.2"
+/// or "slicing8") — for bench labels and diagnostics.
+std::string_view crc32c_kernel_name();
+
+namespace detail {
+/// One CRC32C kernel tier, with crc32c()'s contract.
+struct Crc32cKernel {
+  std::string_view name;
+  std::uint32_t (*fn)(ByteSpan data, std::uint32_t seed);
+};
+
+/// Every tier this host can run, the one crc32c() uses first — for tests
+/// and benches that check or time each tier on its own.
+std::span<const Crc32cKernel> crc32c_kernels();
+}  // namespace detail
 
 /// crc32c(a+b) from crc_a = crc32c(a), crc_b = crc32c(b) and the length of
 /// b, without touching the bytes: O(log len_b) GF(2) multiplications.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <future>
 
 #include "common/checksum.h"
 #include "common/copy_meter.h"
@@ -137,10 +136,11 @@ WriteResult ErasureScheme::write(gcs::MultiCloudSession& session,
                                                       object_bytes[slot]));
     }
   }
-  // Parity regions: writable spans taken before freeze(). The encode below
-  // fills them before any parity slice is submitted, and no other view
-  // covers them, so the late writes are invisible to concurrent readers of
-  // the tail fragments (disjoint regions of the same block).
+  // Parity regions: writable spans taken before freeze(). The stripe pass
+  // below fills them after the data fragments are submitted but before
+  // any parity slice is, and no other view covers them, so the late
+  // writes are invisible to concurrent readers of the tail fragments
+  // (disjoint regions of the same block).
   std::vector<common::MutByteSpan> parity_views(geom.m);
   for (std::size_t p = 0; p < geom.m; ++p) {
     parity_views[p] =
@@ -152,40 +152,6 @@ WriteResult ErasureScheme::write(gcs::MultiCloudSession& session,
     data_views[pad_slots[j]] = fragments[pad_slots[j]];
   }
 
-  // Pipeline: parity encode and checksums run on the session pool while
-  // the k data fragments (available immediately) are dispatched. Parity
-  // is encoded in independent chunks so the pool can spread the GF work.
-  auto& pool = session.pool();
-  const erasure::ReedSolomon& rs = striper_.codec();
-  constexpr std::size_t kEncodeChunk = 256 * 1024;
-  std::vector<std::future<void>> encode_futs;
-  for (std::size_t off = 0; off < shard_size; off += kEncodeChunk) {
-    const std::size_t len = std::min(kEncodeChunk, shard_size - off);
-    encode_futs.push_back(pool.submit([&geom, &rs, &data_views, &parity_views,
-                                       off, len] {
-      std::vector<common::ByteSpan> d(geom.k);
-      for (std::size_t i = 0; i < geom.k; ++i) {
-        d[i] = data_views[i].subspan(off, len);
-      }
-      std::vector<common::MutByteSpan> pv(geom.m);
-      for (std::size_t p = 0; p < geom.m; ++p) {
-        pv[p] = parity_views[p].subspan(off, len);
-      }
-      (void)rs.encode_into(d, pv);
-    }));
-  }
-  // Checksums hash every fragment byte once: a data fragment's object
-  // bytes first, then its padding chained on, so the object CRC is
-  // combined from the object-byte CRCs without a pass over the object.
-  std::vector<std::future<erasure::ShardCrc>> data_crc_futs(geom.k);
-  for (std::size_t i = 0; i < geom.k; ++i) {
-    data_crc_futs[i] = pool.submit([view = data_views[i],
-                                    prefix = object_bytes[i]] {
-      return erasure::Striper::data_shard_crc(view, prefix);
-    });
-  }
-  std::vector<std::future<std::uint32_t>> parity_crc_futs(geom.m);
-
   std::vector<cloud::ObjectKey> keys;
   keys.reserve(total);
   for (std::size_t i = 0; i < total; ++i) {
@@ -193,23 +159,23 @@ WriteResult ErasureScheme::write(gcs::MultiCloudSession& session,
   }
 
   // One batch for the whole stripe: the k data fragments (available
-  // immediately) dispatch while parity encodes; parity fragments join the
-  // same batch once the encode lands. All ops carry offset 0, so the batch
-  // is one concurrent round in virtual time — splitting the real
-  // submission into two waves only overlaps client CPU with I/O.
+  // immediately) dispatch first; parity fragments join the same batch once
+  // the stripe pass has encoded and hashed every fragment. All ops carry
+  // offset 0, so the batch is one concurrent round in virtual time —
+  // splitting the real submission into two waves only overlaps client CPU
+  // with I/O.
   gcs::AsyncBatch batch(session);
   for (std::size_t i = 0; i < geom.k; ++i) {
     batch.submit(gcs::CloudOp::put(shard_clients[i], keys[i], fragments[i]));
   }
-
-  for (auto& f : encode_futs) f.get();
+  // Every fragment byte is hashed once: a data fragment's object bytes
+  // first, then its padding chained on, so the object CRC is combined
+  // from the object-byte CRCs without a pass over the object.
+  const std::vector<erasure::ShardCrc> crcs =
+      striper_.encode_with_crcs(data_views, object_bytes, parity_views);
   for (std::size_t p = 0; p < geom.m; ++p) {
     fragments[geom.k + p] =
         side.slice((pad_slots.size() + p) * shard_size, shard_size);
-    parity_crc_futs[p] = pool.submit(
-        [view = fragments[geom.k + p].span()] { return common::crc32c(view); });
-  }
-  for (std::size_t p = 0; p < geom.m; ++p) {
     batch.submit(gcs::CloudOp::put(shard_clients[geom.k + p], keys[geom.k + p],
                                    fragments[geom.k + p]));
   }
@@ -235,12 +201,10 @@ WriteResult ErasureScheme::write(gcs::MultiCloudSession& session,
   m.shard_size = shard_size;
   m.fragment_crcs.reserve(total);
   std::vector<std::uint32_t> object_crcs(geom.k);
-  for (std::size_t i = 0; i < geom.k; ++i) {
-    const erasure::ShardCrc crc = data_crc_futs[i].get();
-    object_crcs[i] = crc.object;
-    m.fragment_crcs.push_back(crc.shard);
+  for (std::size_t i = 0; i < total; ++i) {
+    if (i < geom.k) object_crcs[i] = crcs[i].object;
+    m.fragment_crcs.push_back(crcs[i].shard);
   }
-  for (auto& f : parity_crc_futs) m.fragment_crcs.push_back(f.get());
   m.crc = erasure::Striper::object_crc_from(object_crcs, data.size(),
                                             shard_size);
   for (std::size_t i = 0; i < total; ++i) {

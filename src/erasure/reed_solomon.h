@@ -30,9 +30,9 @@ class ReedSolomon {
       std::span<const common::Bytes> data) const;
 
   /// Allocation-free encode into caller-provided parity buffers (which
-  /// must be zero-filled and sized like the data shards). The pipelined
-  /// write path uses this with reused scratch buffers, and chunk-parallel
-  /// callers may pass sub-ranges of every shard: parity is positional.
+  /// must be zero-filled and sized like the data shards). Parity is
+  /// positional, so callers may pass the same sub-range of every shard:
+  /// Striper::encode_with_crcs encodes a stripe chunk by chunk this way.
   [[nodiscard]] common::Status encode_into(
       std::span<const common::ByteSpan> data,
       std::span<const common::MutByteSpan> parity) const;

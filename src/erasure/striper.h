@@ -99,6 +99,19 @@ class Striper {
                                                    std::uint64_t object_size,
                                                    std::size_t shard_size);
 
+  /// One cache-resident pass over a stripe: fills `parity` (zero-filled,
+  /// sized like the data shards) with the codec's parity and hashes every
+  /// fragment. The shards are walked in chunks small enough to stay in L1/
+  /// L2: each chunk is encoded, then every data and parity fragment's CRC
+  /// chains over it, so each data byte is fetched from memory once.
+  /// Returns k + m ShardCrc in code order: data shard i's chain is split
+  /// at `object_bytes[i]` (as data_shard_crc does); a parity entry's
+  /// `object` equals its `shard`.
+  [[nodiscard]] std::vector<ShardCrc> encode_with_crcs(
+      std::span<const common::ByteSpan> data,
+      std::span<const std::size_t> object_bytes,
+      std::span<const common::MutByteSpan> parity) const;
+
   /// Hashes a data shard once, yielding both of its ShardCrc values.
   /// `object_bytes` must not exceed the shard's size.
   [[nodiscard]] static ShardCrc data_shard_crc(common::ByteSpan shard,

@@ -56,8 +56,8 @@ TEST(Crc32c, Decrementing32) {
 
 TEST(Crc32c, ChainingSplitsAnywhere) {
   // crc32c(a+b) == crc32c(b, seed=crc32c(a)) for every split point —
-  // the property the pipelined writer relies on when it checksums
-  // fragments independently of the whole object.
+  // the property the stripe pass relies on when it chains each
+  // fragment's CRC chunk by chunk.
   const Bytes data = patterned(611, 29);
   const std::uint32_t whole = crc32c(data);
   for (std::size_t split = 0; split <= data.size(); split += 7) {
@@ -86,11 +86,13 @@ TEST(Crc32c, WideMatchesReferenceAllLengths) {
 }
 
 TEST(Crc32c, WideMatchesReferenceAroundBlockBoundaries) {
-  // The hardware kernel hashes runs of three 8 KiB blocks, then runs of
+  // The SSE4.2 kernel hashes runs of three 8 KiB blocks, then runs of
   // three 256 B blocks, then single words and bytes. Every length within
   // 8 bytes of a multiple of either run size (768 B and 24 KiB) moves a
   // boundary between those stages; check each against the reference at
-  // several alignments and seeds.
+  // several alignments and seeds, on every tier (the folding tier hands
+  // its tail to the SSE4.2 kernel, and hides it from crc32c() on hosts
+  // that run it).
   constexpr std::size_t kShortRun = 3 * 256;
   constexpr std::size_t kLongRun = 3 * 8192;
   std::vector<std::size_t> centres;
@@ -108,10 +110,62 @@ TEST(Crc32c, WideMatchesReferenceAroundBlockBoundaries) {
            {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{7}}) {
         const ByteSpan span(base.data() + off, len);
         for (const std::uint32_t seed : {0u, 0xDEADBEEFu, 0xFFFFFFFFu}) {
-          ASSERT_EQ(crc32c(span, seed), crc32c_reference(span, seed))
-              << "off=" << off << " len=" << len << " seed=" << seed;
+          const std::uint32_t want = crc32c_reference(span, seed);
+          for (const auto& kernel : detail::crc32c_kernels()) {
+            ASSERT_EQ(kernel.fn(span, seed), want)
+                << kernel.name << " off=" << off << " len=" << len
+                << " seed=" << seed;
+          }
         }
       }
+    }
+  }
+}
+
+// Every kernel tier this host can run, checked on its own against the
+// bytewise reference: lengths within 8 bytes of each multiple of 256 and
+// 512 B (the fold window and the folding tier's threshold), 4 KiB and
+// 1 MiB + 7, at several alignments and seeds.
+TEST(Crc32cKernels, EveryTierMatchesReference) {
+  const auto kernels = detail::crc32c_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_EQ(kernels.front().name, crc32c_kernel_name());
+  std::vector<std::size_t> lengths = {4096, (std::size_t{1} << 20) + 7};
+  for (std::size_t c = 256; c <= 4096; c += 256) {
+    for (std::size_t len = c - 8; len <= c + 8; ++len) lengths.push_back(len);
+  }
+  const Bytes base = patterned((std::size_t{1} << 20) + 7 + 64, 71);
+  for (const auto& kernel : kernels) {
+    for (const std::size_t len : lengths) {
+      for (const std::size_t off : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{3}, std::size_t{7},
+                                    std::size_t{63}}) {
+        const ByteSpan span(base.data() + off, len);
+        for (const std::uint32_t seed : {0u, 0xDEADBEEFu}) {
+          ASSERT_EQ(kernel.fn(span, seed), crc32c_reference(span, seed))
+              << kernel.name << " off=" << off << " len=" << len
+              << " seed=" << seed;
+        }
+      }
+    }
+  }
+}
+
+TEST(Crc32cKernels, EveryTierChainsAcrossTheFoldThreshold) {
+  // Splits put one or both pieces on either side of 512 B, so a chained
+  // call hands a folded register to a short input and back.
+  const Bytes data = patterned(3000, 73);
+  const std::uint32_t whole = crc32c_reference(data);
+  for (const auto& kernel : detail::crc32c_kernels()) {
+    for (const std::size_t split :
+         {std::size_t{1}, std::size_t{255}, std::size_t{511},
+          std::size_t{512}, std::size_t{513}, std::size_t{1024},
+          std::size_t{2487}, std::size_t{2488}, std::size_t{2489},
+          std::size_t{2999}}) {
+      const ByteSpan head(data.data(), split);
+      const ByteSpan tail(data.data() + split, data.size() - split);
+      EXPECT_EQ(kernel.fn(tail, kernel.fn(head, 0)), whole)
+          << kernel.name << " split=" << split;
     }
   }
 }

@@ -62,8 +62,8 @@ TEST(ThreadPool, ChunkedParallelForCoversEveryIndexExactlyOnce) {
 TEST(ThreadPool, ParallelForStressFromManyExternalThreads) {
   // Several caller threads hammering parallel_for on one shared pool:
   // each call must see all of its own indices and nothing else. This is
-  // the shape of the pipelined erasure write (encode chunks + CRC tasks
-  // + parallel_put on the same session pool).
+  // the shape of several clients fanning their fragment ops out on one
+  // shared session pool.
   ThreadPool pool(4);
   constexpr int kCallers = 6;
   constexpr int kRounds = 25;
