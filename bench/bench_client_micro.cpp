@@ -96,7 +96,7 @@ void BM_ProviderRawPut(benchmark::State& state) {
   const auto data = common::patterned(static_cast<std::size_t>(state.range(0)), 2);
   int i = 0;
   for (auto _ : state) {
-    auto r = provider->put({"c", "k" + std::to_string(i++ % 16)}, data);
+    auto r = provider->put({"c", std::string("k").append(std::to_string(i++ % 16))}, data);
     benchmark::DoNotOptimize(r.latency);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *

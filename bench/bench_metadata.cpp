@@ -42,7 +42,7 @@ constexpr std::size_t kDirs = 16;
 constexpr std::size_t kFilesPerDir = 65536;
 
 std::string path_of(std::size_t dir, std::size_t file) {
-  return "d" + std::to_string(dir) + "/f" + std::to_string(file);
+  return std::string("d").append(std::to_string(dir)) + std::string("/f").append(std::to_string(file));
 }
 
 /// All paths, precomputed: the workload indexes into this so per-op cost

@@ -34,12 +34,11 @@
 #pragma once
 
 #include <cstdint>
-#include <queue>
-#include <unordered_map>
-#include <utility>
+#include <limits>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/quad_heap.h"
 
 namespace hyrd::cloud {
 
@@ -95,12 +94,56 @@ class FairQueue {
   [[nodiscard]] const CongestionStats& stats() const { return stats_; }
 
   /// Flows holding a pacing tag; the retirement heap holds one entry each.
-  [[nodiscard]] std::size_t tagged_flows() const { return flow_tag_.size(); }
+  [[nodiscard]] std::size_t tagged_flows() const { return flows_.size(); }
   [[nodiscard]] std::size_t pending_retirements() const {
     return tag_expiry_.size();
   }
 
  private:
+  // Flow id -> pacing tag: open addressing with linear probing over 16-byte
+  // slots, a Fibonacci hash, backward-shift deletion (no tombstones) and a
+  // maximum load of 3/4. Flow ids are arbitrary 64-bit values (the repair
+  // flow is ~0), so an empty slot is marked by a tag no flow can hold.
+  class FlowTable {
+   public:
+    /// The tag of `flow`, inserted as `init` when absent (`fresh` says so).
+    /// The reference is invalidated by the next insert or erase.
+    common::SimDuration& find_or_insert(std::uint64_t flow,
+                                        common::SimDuration init,
+                                        bool& fresh);
+    /// The tag of `flow` (which must be present); erases the flow when
+    /// that tag is at or before `now`.
+    common::SimDuration retire_if_expired(std::uint64_t flow,
+                                          common::SimDuration now);
+    [[nodiscard]] std::size_t size() const { return size_; }
+
+   private:
+    static constexpr common::SimDuration kEmpty =
+        std::numeric_limits<common::SimDuration>::min();
+    struct Entry {
+      std::uint64_t flow = 0;
+      common::SimDuration tag = kEmpty;
+    };
+    [[nodiscard]] std::size_t home(std::uint64_t flow) const;
+    // The flow's slot, or the empty slot that ends its probe sequence.
+    [[nodiscard]] std::size_t locate(std::uint64_t flow) const;
+    void erase_at(std::size_t i);
+    void grow();
+
+    std::vector<Entry> slots_;  // power-of-two size, or empty
+    std::size_t size_ = 0;
+    int shift_ = 64;  // 64 - log2(slots_.size())
+  };
+
+  // Retirement-heap entry: a key the flow's tag has held, and the flow.
+  struct TagEntry {
+    common::SimDuration key;
+    std::uint64_t flow;
+    friend bool operator<(const TagEntry& a, const TagEntry& b) {
+      return a.key != b.key ? a.key < b.key : a.flow < b.flow;
+    }
+  };
+
   void prune(common::SimDuration arrival);
 
   CongestionParams params_;
@@ -108,19 +151,15 @@ class FairQueue {
   std::vector<common::SimDuration> slot_free_;  // per-channel busy-until
   // Begin times of admitted-but-not-yet-started requests; its size is the
   // queue depth at the latest arrival after prune().
-  std::priority_queue<common::SimDuration, std::vector<common::SimDuration>,
-                      std::greater<>>
-      waiting_;
+  common::QuadHeap<common::SimDuration> waiting_;
   // Per-flow virtual finish tags. Only flows currently ahead of real
-  // arrival time matter; stale tags are retired so the map tracks the set
+  // arrival time matter; stale tags are retired so the table tracks the set
   // of *backlogged* tenants, not every tenant ever seen.
-  std::unordered_map<std::uint64_t, common::SimDuration> flow_tag_;
-  // One (tag, flow) entry per tracked flow, keyed by a tag the flow has
-  // held (its current one or an earlier one), earliest on top: retirement
-  // pops the expired keys instead of scanning flow_tag_.
-  using TagEntry = std::pair<common::SimDuration, std::uint64_t>;
-  std::priority_queue<TagEntry, std::vector<TagEntry>, std::greater<>>
-      tag_expiry_;
+  FlowTable flows_;
+  // One entry per tracked flow, keyed by a tag the flow has held (its
+  // current one or an earlier one), earliest on top: retirement pops the
+  // expired keys instead of scanning flows_.
+  common::QuadHeap<TagEntry> tag_expiry_;
   std::uint64_t admits_since_retire_ = 0;
 };
 

@@ -13,6 +13,8 @@ ProviderConfig amazon_s3_profile() {
       .data_out_gb = 0.201,
       .put_class_per_10k = 0.047,
       .get_class_per_10k = 0.0037,
+      .storage_tiers = {},
+      .egress_tiers = {},
   };
   c.latency = LatencyParams{
       .read_first_byte_ms = 210.0,
@@ -37,6 +39,8 @@ ProviderConfig windows_azure_profile() {
       .data_out_gb = 0.0,
       .put_class_per_10k = 0.0,
       .get_class_per_10k = 0.0,
+      .storage_tiers = {},
+      .egress_tiers = {},
   };
   c.latency = LatencyParams{
       .read_first_byte_ms = 85.0,
@@ -61,6 +65,8 @@ ProviderConfig aliyun_profile() {
       .data_out_gb = 0.123,
       .put_class_per_10k = 0.0016,
       .get_class_per_10k = 0.0016,
+      .storage_tiers = {},
+      .egress_tiers = {},
   };
   c.latency = LatencyParams{
       .read_first_byte_ms = 35.0,
@@ -87,6 +93,8 @@ ProviderConfig rackspace_profile() {
       .data_out_gb = 0.0,
       .put_class_per_10k = 0.0,
       .get_class_per_10k = 0.0,
+      .storage_tiers = {},
+      .egress_tiers = {},
   };
   c.latency = LatencyParams{
       .read_first_byte_ms = 260.0,

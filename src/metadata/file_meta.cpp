@@ -11,9 +11,8 @@ constexpr std::uint8_t kFileMetaVersion = 2;  // v2 added fragment_crcs
 std::pair<std::string, std::string> split_path(const std::string& path) {
   const auto slash = path.rfind('/');
   if (slash == std::string::npos) return {"/", path};
-  std::string dir = path.substr(0, slash);
-  if (dir.empty()) dir = "/";
-  return {dir, path.substr(slash + 1)};
+  if (slash == 0) return {"/", path.substr(1)};
+  return {path.substr(0, slash), path.substr(slash + 1)};
 }
 
 std::string FileMeta::directory() const { return split_path(path).first; }

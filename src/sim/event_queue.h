@@ -1,4 +1,4 @@
-// Discrete-event core of the scale-out engine: a binary heap of events
+// Discrete-event core of the scale-out engine: a 4-ary heap of events
 // keyed on virtual nanoseconds, dispatched strictly in (time, submission)
 // order on one OS thread.
 //
@@ -15,22 +15,29 @@
 // Ordering: events with equal timestamps dispatch in schedule() order
 // (a monotone sequence number breaks ties), so runs are reproducible.
 //
-// Cancellation: every scheduled event owns an atomic cancel flag.
-// cancel(id) marks it; the dispatcher skips marked events, and while a
-// handler runs, its event's flag is installed as the thread's
-// cloud::CancelScope — so provider-level cooperative cancellation (the
+// Storage: a pending event is one 16-byte heap item {when, seq:40|slot:24}
+// plus one 16-byte slot in a flat table (handler, generation, cancelled),
+// recycled through a free list — no per-event allocation. An EventId is
+// generation << 32 | slot; a slot's generation advances every time it is
+// freed, so a stale id (dispatched or cancelled, slot since reused) never
+// matches, and a slot whose generation would wrap is retired, never reused.
+//
+// Cancellation: cancel(id) marks a pending event's slot; the dispatcher
+// frees marked events without running them. The running event's flag is
+// one atomic member instead, installed as the thread's cloud::CancelScope
+// while its handler runs — so provider-level cooperative cancellation (the
 // same mechanism AsyncBatch stragglers use) composes with event-level
-// cancellation without new machinery.
+// cancellation without new machinery. (The flag cannot live in the slot:
+// a handler that schedules may grow the slot table under it.)
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <limits>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/quad_heap.h"
 
 namespace hyrd::sim {
 
@@ -51,10 +58,19 @@ inline constexpr EventId kInvalidEvent = 0;
 
 class EventQueue {
  public:
+  /// Pending events the packed heap key can address (24 slot bits), and
+  /// events one queue can ever schedule (40 sequence bits). Scheduling past
+  /// either limit throws std::length_error.
+  static constexpr std::uint64_t kMaxPending = std::uint64_t{1} << 24;
+  static constexpr std::uint64_t kMaxScheduled = std::uint64_t{1} << 40;
+
   /// Current virtual time: the timestamp of the latest dispatched event.
   [[nodiscard]] common::SimDuration now() const { return now_; }
 
-  [[nodiscard]] std::size_t pending() const { return entries_.size(); }
+  /// Scheduled events not yet dispatched or discarded: cancelled ones count
+  /// until the dispatcher reaches them, the running one until its handler
+  /// returns.
+  [[nodiscard]] std::size_t pending() const { return live_; }
   [[nodiscard]] std::uint64_t dispatched() const { return dispatched_; }
 
   /// Schedules `handler` at virtual time `when`. Times in the past are
@@ -79,25 +95,38 @@ class EventQueue {
                         std::numeric_limits<std::uint64_t>::max());
 
  private:
+  friend struct EventQueueTestPeer;
+
+  static constexpr int kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask = kMaxPending - 1;
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
   struct HeapItem {
     common::SimDuration when;
-    EventId id;  // monotone: smaller id == scheduled earlier
-    friend bool operator>(const HeapItem& a, const HeapItem& b) {
-      if (a.when != b.when) return a.when > b.when;
-      return a.id > b.id;
+    std::uint64_t key;  // seq << kSlotBits | slot; seq is monotone
+    friend bool operator<(const HeapItem& a, const HeapItem& b) {
+      if (a.when != b.when) return a.when < b.when;
+      return a.key < b.key;
     }
   };
-  struct Entry {
-    EventHandler* handler;
-    std::atomic<bool> cancelled{false};
+  struct Slot {
+    EventHandler* handler = nullptr;  // null while the slot is free
+    std::uint32_t generation = 1;     // of the current or next occupant
+    bool cancelled = false;
   };
 
-  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap_;
-  // Node-based so &entry.cancelled stays valid across rehash while a
-  // handler scheduled from inside on_event() grows the map.
-  std::unordered_map<EventId, Entry> entries_;
+  /// The heap key for event `seq` in `slot`; throws past either limit.
+  static std::uint64_t pack(std::uint64_t seq, std::uint64_t slot);
+  void release(std::uint32_t slot);
+
+  common::QuadHeap<HeapItem> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;  // LIFO: the warmest slot first
+  std::size_t live_ = 0;
+  std::uint32_t running_ = kNoSlot;  // slot of the event being dispatched
+  std::atomic<bool> running_cancelled_{false};
   common::SimDuration now_ = 0;
-  EventId next_id_ = 1;  // 0 is kInvalidEvent
+  std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;
 };
 

@@ -105,7 +105,7 @@ class Tenant final : public EventHandler {
         client_(client),
         arena_(arena),
         metrics_(metrics),
-        path_("t" + std::to_string(id) + "/o") {
+        path_(std::string("t").append(std::to_string(id)).append("/o")) {
     // draw_payload() slices object_bytes out of the arena (span underflow).
     if (config.object_bytes > arena.size()) {
       throw std::invalid_argument("tenant object_bytes exceeds arena size");

@@ -12,6 +12,8 @@ PriceSchedule test_prices() {
       .data_out_gb = 0.20,
       .put_class_per_10k = 0.05,
       .get_class_per_10k = 0.004,
+      .storage_tiers = {},
+      .egress_tiers = {},
   };
 }
 

@@ -127,7 +127,7 @@ TEST(SimProviderCongestion, OverloadReturns429AndCountsThrottled) {
   OpResult last;
   int throttled = 0;
   for (int i = 0; i < 4; ++i) {
-    last = provider.put({"c", "o" + std::to_string(i)},
+    last = provider.put({"c", std::string("o").append(std::to_string(i))},
                         common::Buffer::of("z"));
     if (!last.status.is_ok()) ++throttled;
   }
@@ -311,6 +311,73 @@ TEST(FairQueue, ExpiryRetirementMatchesFullScanOracle) {
   EXPECT_EQ(oracle.tagged_flows(), 0u);
   EXPECT_TRUE(same_stats(q.stats(), oracle.stats()));
   EXPECT_EQ(q.depth_at(t), oracle.depth_at(t));
+}
+
+TEST(FairQueue, FlowTableAtTenThousandFlowsMatchesFullScanOracle) {
+  // The same oracle at table scale: ~12 000 flow ids, among them 0, ~0
+  // (the repair flow), ~0 - 1 and two families that share all their low
+  // bits, so the flow table grows through several doublings and erases
+  // long runs of neighbours at once. Each cycle is an overload burst that
+  // leaves ~10^4 flows backlogged (and hits the depth cap) followed by a
+  // slow phase in which the backlog drains and retirement empties the
+  // table again; five cycles cross more than 50 retirement rounds.
+  const CongestionParams params = narrow(8, 1u << 15);
+  FairQueue q(params);
+  ScanFairQueue oracle(params);
+  std::vector<std::uint64_t> ids = {0, ~0ull, ~0ull - 1};
+  for (std::uint64_t i = 1; i <= 4000; ++i) {
+    ids.push_back(i << 32);
+    ids.push_back(i << 48 | 0x5a5a);
+    ids.push_back(common::SplitMix64(i).next());
+  }
+  common::Xoshiro256 rng(77);
+  const double weights[] = {0.5, 1.0, 2.0, 4.0, 0.0};
+  common::SimDuration clock = 0;
+  std::size_t most_tagged = 0;
+  constexpr int kCycle = 52'000;
+  constexpr int kAdmits = 5 * kCycle;
+  for (int i = 0; i < kAdmits; ++i) {
+    const bool overload = i % kCycle < 40'000;
+    clock += overload ? static_cast<common::SimDuration>(rng() % 100) *
+                            common::kMicrosecond
+                      : static_cast<common::SimDuration>(rng() % 20) *
+                            common::kMillisecond;
+    common::SimDuration arrival = clock;
+    if (rng() % 10 == 0) {  // a late failover arrival
+      arrival = std::max<common::SimDuration>(
+          0, clock - static_cast<common::SimDuration>(rng() % 200) *
+                         common::kMillisecond);
+    }
+    const std::uint64_t tenant = ids[rng() % ids.size()];
+    const double weight = weights[rng() % 5];
+    const std::uint64_t bytes = rng() % 2 == 0 ? 0 : rng() % 8192;
+    const auto got = q.admit(tenant, weight, arrival, bytes);
+    const auto want = oracle.admit(tenant, weight, arrival, bytes);
+    ASSERT_EQ(got.admitted, want.admitted) << "admit " << i;
+    ASSERT_EQ(got.wait, want.wait) << "admit " << i;
+    ASSERT_EQ(q.tagged_flows(), oracle.tagged_flows()) << "admit " << i;
+    ASSERT_EQ(q.pending_retirements(), q.tagged_flows()) << "admit " << i;
+    most_tagged = std::max(most_tagged, q.tagged_flows());
+    if (i % 1009 == 0) {
+      ASSERT_TRUE(same_stats(q.stats(), oracle.stats())) << "admit " << i;
+      ASSERT_EQ(q.depth_at(clock), oracle.depth_at(clock)) << "admit " << i;
+    }
+  }
+  EXPECT_TRUE(same_stats(q.stats(), oracle.stats()));
+  EXPECT_GE(most_tagged, 10'000u);
+  EXPECT_GT(q.stats().throttled, 0u);
+  EXPECT_GE(q.stats().admitted, 50u * 4096u);
+
+  // Everything retires once arrivals pass every tag.
+  const common::SimDuration service = q.service_time(0);
+  common::SimDuration t = clock + 3600 * common::kSecond;
+  for (int i = 0; i < 4096 && q.tagged_flows() > 0; ++i, t += service) {
+    ASSERT_EQ(q.admit(ids[i], 1e18, t, 0).wait,
+              oracle.admit(ids[i], 1e18, t, 0).wait);
+  }
+  EXPECT_EQ(q.tagged_flows(), 0u);
+  EXPECT_EQ(oracle.tagged_flows(), 0u);
+  EXPECT_EQ(q.pending_retirements(), 0u);
 }
 
 TEST(FairQueue, DepthCapBoundaryAdmitsExactlyMaxQueueDepthWaiters) {

@@ -86,19 +86,23 @@ TEST(LatencyModel, ZeroJitterSampleEqualsExpected) {
 }
 
 TEST(PriceSchedule, StorageCostPerDecimalGB) {
-  PriceSchedule p{.storage_gb_month = 0.10};
+  PriceSchedule p;
+  p.storage_gb_month = 0.10;
   EXPECT_DOUBLE_EQ(p.storage_cost(1'000'000'000ull), 0.10);
   EXPECT_DOUBLE_EQ(p.storage_cost(500'000'000ull), 0.05);
 }
 
 TEST(PriceSchedule, TransferCosts) {
-  PriceSchedule p{.data_in_gb = 0.0, .data_out_gb = 0.2};
+  PriceSchedule p;
+  p.data_out_gb = 0.2;
   EXPECT_DOUBLE_EQ(p.ingress_cost(5'000'000'000ull), 0.0);
   EXPECT_DOUBLE_EQ(p.egress_cost(5'000'000'000ull), 1.0);
 }
 
 TEST(PriceSchedule, TransactionClasses) {
-  PriceSchedule p{.put_class_per_10k = 0.05, .get_class_per_10k = 0.004};
+  PriceSchedule p;
+  p.put_class_per_10k = 0.05;
+  p.get_class_per_10k = 0.004;
   EXPECT_DOUBLE_EQ(p.txn_cost(OpKind::kPut, 10000), 0.05);
   EXPECT_DOUBLE_EQ(p.txn_cost(OpKind::kList, 10000), 0.05);
   EXPECT_DOUBLE_EQ(p.txn_cost(OpKind::kCreate, 10000), 0.05);

@@ -98,7 +98,7 @@ TEST(MemoryStore, ConcurrentPutsAreConsistent) {
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&store, t] {
       for (int i = 0; i < 100; ++i) {
-        store.put("c", "t" + std::to_string(t) + "-" + std::to_string(i),
+        store.put("c", std::string("t").append(std::to_string(t)) + std::string("-").append(std::to_string(i)),
                   common::Bytes(10, 0));
       }
     });

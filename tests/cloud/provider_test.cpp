@@ -11,7 +11,8 @@ ProviderConfig test_config(const std::string& name = "TestCloud") {
   ProviderConfig c;
   c.name = name;
   c.latency = LatencyParams{.jitter_sigma = 0.0};
-  c.prices = PriceSchedule{.storage_gb_month = 0.1, .data_out_gb = 0.2};
+  c.prices.storage_gb_month = 0.1;
+  c.prices.data_out_gb = 0.2;
   return c;
 }
 

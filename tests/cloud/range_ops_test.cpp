@@ -65,7 +65,7 @@ TEST(ProviderRange, LatencyScalesWithRangeNotObject) {
 TEST(ProviderRange, BillingChargesTransferredBytesOnly) {
   ProviderConfig config;
   config.name = "T";
-  config.prices = PriceSchedule{.data_out_gb = 1.0};
+  config.prices.data_out_gb = 1.0;
   SimProvider provider(config, 1);
   provider.create("c");
   provider.put({"c", "k"}, common::patterned(1'000'000, 1));

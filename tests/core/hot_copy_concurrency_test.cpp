@@ -87,7 +87,9 @@ TEST(HotCopyConcurrency, GetDoesNotHoldHotLockAcrossCloudIO) {
   }
   gate_cv.notify_all();
   reader.join();
-  if (probe_done) EXPECT_TRUE(probe.get());
+  if (probe_done) {
+    EXPECT_TRUE(probe.get());
+  }
 
   hot->set_op_hook(nullptr);
   for (const auto& p : reg.all()) p->set_online(true);

@@ -140,7 +140,9 @@ TEST_F(HyRDClientTest, RemoveDeletesDataAndUpdatesMetadata) {
             common::StatusCode::kNotFound);
   for (const auto& p : registry_.all()) {
     auto listing = p->list("hyrd-data");
-    if (listing.ok()) EXPECT_TRUE(listing.names.empty()) << p->name();
+    if (listing.ok()) {
+      EXPECT_TRUE(listing.names.empty()) << p->name();
+    }
   }
 }
 

@@ -111,7 +111,7 @@ TEST_F(ClientSessionTest, ParallelPutLatencyIsMax) {
   const common::Bytes data = common::patterned(200000, 1);
   std::vector<BatchPut> batch;
   for (std::size_t i = 0; i < 4; ++i) {
-    batch.push_back({i, {"c", "k" + std::to_string(i)}, data});
+    batch.push_back({i, {"c", std::string("k").append(std::to_string(i))}, data});
   }
   common::SimDuration batch_latency = 0;
   auto results = session.parallel_put(batch, &batch_latency);
@@ -130,7 +130,7 @@ TEST_F(ClientSessionTest, ParallelGetReturnsInOrder) {
   session.ensure_container_everywhere("c");
   for (std::size_t i = 0; i < 4; ++i) {
     session.client(i).put({"c", "k"},
-                          common::bytes_of("v" + std::to_string(i)));
+                          common::bytes_of(std::string("v").append(std::to_string(i))));
   }
   std::vector<BatchGet> batch;
   for (std::size_t i = 0; i < 4; ++i) batch.push_back({i, {"c", "k"}});
@@ -138,7 +138,7 @@ TEST_F(ClientSessionTest, ParallelGetReturnsInOrder) {
   auto results = session.parallel_get(batch, &lat);
   for (std::size_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(results[i].ok());
-    EXPECT_EQ(common::to_string(results[i].data), "v" + std::to_string(i));
+    EXPECT_EQ(common::to_string(results[i].data), std::string("v").append(std::to_string(i)));
   }
 }
 

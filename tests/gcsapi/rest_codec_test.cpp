@@ -5,6 +5,7 @@
 #include <cctype>
 #include <ostream>
 #include <string>
+#include <utility>
 
 #include "core/config.h"
 #include "core/storage_client.h"
@@ -23,6 +24,14 @@ void PrintTo(const ObjectKey& key, std::ostream* os) {
 
 namespace hyrd::gcs {
 namespace {
+
+// A request with only method and path set (headers and body empty).
+RestRequest request(std::string method, std::string path) {
+  RestRequest req;
+  req.method = std::move(method);
+  req.path = std::move(path);
+  return req;
+}
 
 using cloud::ObjectKey;
 using cloud::OpKind;
@@ -168,28 +177,28 @@ TEST(RestCodec, ParseAcceptsBodyWithoutContentLength) {
 }
 
 TEST(RestCodec, DecodeRejectsUnknownMethod) {
-  RestRequest req{.method = "PATCH", .path = "/c/x"};
+  const RestRequest req = request("PATCH", "/c/x");
   EXPECT_FALSE(decode_op(req).is_ok());
 }
 
 TEST(RestCodec, DecodeRejectsGetContainerWithoutList) {
-  RestRequest req{.method = "GET", .path = "/c"};
+  const RestRequest req = request("GET", "/c");
   EXPECT_FALSE(decode_op(req).is_ok());
 }
 
 TEST(RestCodec, DecodeRejectsDeleteContainer) {
-  RestRequest req{.method = "DELETE", .path = "/c"};
+  const RestRequest req = request("DELETE", "/c");
   EXPECT_FALSE(decode_op(req).is_ok());
 }
 
 TEST(RestCodec, DecodeRejectsEmptyOrUnrootedPath) {
-  EXPECT_FALSE(decode_op({.method = "GET", .path = ""}).is_ok());
-  EXPECT_FALSE(decode_op({.method = "GET", .path = "c/x"}).is_ok());
-  EXPECT_FALSE(decode_op({.method = "PUT", .path = "/"}).is_ok());
+  EXPECT_FALSE(decode_op(request("GET", "")).is_ok());
+  EXPECT_FALSE(decode_op(request("GET", "c/x")).is_ok());
+  EXPECT_FALSE(decode_op(request("PUT", "/")).is_ok());
 }
 
 TEST(RestCodec, DecodeRejectsUnknownQuery) {
-  RestRequest req{.method = "GET", .path = "/c?weird"};
+  const RestRequest req = request("GET", "/c?weird");
   EXPECT_FALSE(decode_op(req).is_ok());
 }
 

@@ -165,7 +165,7 @@ INSTANTIATE_TEST_SUITE_P(
                           s, "Aliyun");
                     },
                     false}),
-    [](const auto& info) { return std::string(info.param.name); });
+    [](const auto& param_info) { return std::string(param_info.param.name); });
 
 }  // namespace
 }  // namespace hyrd

@@ -112,7 +112,9 @@ TEST(MetadataShardKeyspace, GrowthMovesOnlyTheNewShardsArcs) {
   for (const auto& dir : sample_dirs(2000)) {
     const std::size_t from = before.shard_of_dir(dir);
     const std::size_t to = after.shard_of_dir(dir);
-    if (from != to) EXPECT_EQ(to, 16u) << dir;  // only into the new shard
+    if (from != to) {
+      EXPECT_EQ(to, 16u) << dir;  // only into the new shard
+    }
   }
 }
 
@@ -129,7 +131,7 @@ TEST(MetadataShardKeyspace, StableKeyHashNeverReturnsZero) {
   EXPECT_NE(common::stable_key_hash("/"), 0u);
   common::Xoshiro256 rng(3);
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_NE(common::stable_key_hash("k" + std::to_string(rng())), 0u);
+    EXPECT_NE(common::stable_key_hash(std::string("k").append(std::to_string(rng()))), 0u);
   }
 }
 

@@ -29,7 +29,7 @@ FileMeta make_meta(std::string path, std::uint64_t version = 1,
 }
 
 std::string random_path(common::Xoshiro256& rng) {
-  return "d" + std::to_string(rng() % 13) + "/f" + std::to_string(rng() % 97);
+  return std::string("d").append(std::to_string(rng() % 13)) + std::string("/f").append(std::to_string(rng() % 97));
 }
 
 TEST(MetadataShard, MatchesLegacyUnderRandomChurn) {
@@ -168,7 +168,7 @@ TEST(MetadataShardStress, ConcurrentChurnAcrossShards) {
   // Seed blocks for the loader thread to replay concurrently.
   MetadataStore seed(1);
   for (int i = 0; i < 200; ++i) {
-    seed.upsert(make_meta("d" + std::to_string(i % 13) + "/s" +
+    seed.upsert(make_meta(std::string("d").append(std::to_string(i % 13)) + "/s" +
                           std::to_string(i)));
   }
   std::vector<common::Bytes> blocks;

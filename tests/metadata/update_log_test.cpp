@@ -175,7 +175,9 @@ TEST(UpdateLogIndex, PendingForIsIndexedNotQuadraticOn100kRecords) {
     for (const auto& rec : oracle) oracle_seq[rec.object_name] = rec.seq;
     for (std::size_t i = 0; i < pending.size(); ++i) {
       EXPECT_EQ(pending[i].seq, oracle_seq.at(pending[i].object_name));
-      if (i > 0) EXPECT_LT(pending[i - 1].seq, pending[i].seq);
+      if (i > 0) {
+        EXPECT_LT(pending[i - 1].seq, pending[i].seq);
+      }
     }
   }
   EXPECT_GT(scan_s / indexed_s, 3.0)
