@@ -1,44 +1,32 @@
 #include "core/depsky_client.h"
 
-#include <algorithm>
 #include <numeric>
 
 #include "common/checksum.h"
 #include "dist/scheme.h"
-#include "gcsapi/async_batch.h"
 
 namespace hyrd::core {
 
 DepSkyClient::DepSkyClient(gcs::MultiCloudSession& session,
                            std::size_t faults_tolerated,
                            std::string data_container)
-    : StorageClientBase(session),
-      container_(std::move(data_container)),
+    : StorageClientBase(session, std::move(data_container)),
       quorum_(session.client_count() - faults_tolerated),
       replication_(container_),
-      erasure_(container_, {.k = 3, .m = 1}),
-      recovery_(session, store_, log_, replication_, erasure_) {
+      erasure_(container_, {.k = 3, .m = 1}) {
+  recovery_.emplace(session_, store_, log_, replication_, erasure_);
   all_targets_.resize(session_.client_count());
   std::iota(all_targets_.begin(), all_targets_.end(), 0);
   (void)session_.ensure_container_everywhere(container_);
 }
 
-dist::WriteResult DepSkyClient::write_object(const std::string& path,
-                                             common::Buffer data) {
+dist::WriteResult DepSkyClient::await_quorum(
+    gcs::AsyncBatch& batch, const std::vector<std::string>& providers,
+    std::vector<std::string>* unreachable) const {
+  // DepSky's quorum write is the engine's kQuorum ack policy verbatim.
   dist::WriteResult result;
-
-  // DepSky's quorum write is the engine's kQuorum ack policy verbatim: a
-  // write completes at the quorum_-th fastest acknowledgment, and every
-  // put still runs to completion so failures are observed and logged.
-  gcs::AsyncBatch batch(session_);
-  std::vector<cloud::ObjectKey> keys;
-  for (std::size_t i = 0; i < all_targets_.size(); ++i) {
-    keys.push_back({container_, dist::fragment_object_name(path, 'q', i)});
-    batch.submit(gcs::CloudOp::put(all_targets_[i], keys.back(), data));
-  }
   gcs::BatchStats stats;
   auto puts = batch.await_ack(gcs::AckPolicy::kQuorum, &stats, quorum_);
-
   if (stats.succeeded < quorum_) {
     result.status = common::unavailable(
         "quorum unreachable (" + std::to_string(stats.succeeded) + "/" +
@@ -48,142 +36,65 @@ dist::WriteResult DepSkyClient::write_object(const std::string& path,
     return result;
   }
   result.latency = stats.latency;
+  for (std::size_t i = 0; i < puts.size(); ++i) {
+    if (!puts[i].ok() && unreachable != nullptr) {
+      unreachable->push_back(providers[i]);
+    }
+  }
+  return result;
+}
 
+dist::WriteResult DepSkyClient::write_object(
+    const std::string& path, common::Buffer data,
+    std::vector<std::string>* unreachable) {
+  gcs::AsyncBatch batch(session_);
   meta::FileMeta m;
   m.path = path;
   m.size = data.size();
   m.redundancy = meta::RedundancyKind::kReplicated;
   m.crc = common::crc32c(data);
-  for (std::size_t i = 0; i < puts.size(); ++i) {
+  std::vector<std::string> providers;
+  for (std::size_t i = 0; i < all_targets_.size(); ++i) {
+    providers.push_back(session_.client(all_targets_[i]).provider_name());
     m.locations.push_back(
-        {session_.client(all_targets_[i]).provider_name(), keys[i].name});
-    if (!puts[i].ok()) {
-      log_.append(session_.client(all_targets_[i]).provider_name(),
-                  container_, path, keys[i].name, meta::LogAction::kPut);
-    }
+        {providers.back(), dist::fragment_object_name(path, 'q', i)});
+    batch.submit(gcs::CloudOp::put(
+        all_targets_[i], {container_, m.locations.back().object_name}, data));
   }
-  store_.upsert_versioned(m);
-  result.status = common::Status::ok();
-  result.meta = std::move(m);
+  dist::WriteResult result = await_quorum(batch, providers, unreachable);
+  if (result.status.is_ok()) result.meta = std::move(m);
   return result;
 }
 
-common::SimDuration DepSkyClient::persist_metadata(const std::string& dir) {
-  auto r = write_object(meta_block_path(dir),
-                        common::Buffer::from(store_.serialize_directory(dir)));
-  return r.latency;
+dist::ReadResult DepSkyClient::read_object(const meta::FileMeta& m) {
+  return replication_.read(session_, m);
 }
 
-dist::WriteResult DepSkyClient::do_put(const std::string& path,
-                                       common::Buffer data) {
-  dist::WriteResult result = write_object(path, std::move(data));
-  if (!result.status.is_ok()) {
-    note_put(result.latency, false);
-    return result;
+dist::WriteResult DepSkyClient::update_object(
+    const meta::FileMeta& m, std::uint64_t offset, common::ByteSpan data,
+    std::vector<std::string>* unreachable) {
+  if (offset == 0 && data.size() == m.size) {
+    return write_object(m.path, common::Buffer::borrow(data), unreachable);
   }
-  result.latency += persist_metadata(result.meta.directory());
-  note_put(result.latency, true);
+  gcs::AsyncBatch batch(session_);
+  std::vector<std::string> providers;
+  for (const auto& loc : m.locations) {
+    const std::size_t idx = session_.index_of(loc.provider);
+    if (idx == static_cast<std::size_t>(-1)) continue;
+    batch.submit(gcs::CloudOp::put_range(idx, {container_, loc.object_name},
+                                         offset, data));
+    providers.push_back(loc.provider);
+  }
+  dist::WriteResult result = await_quorum(batch, providers, unreachable);
+  if (result.status.is_ok()) {
+    result.meta = m;
+    result.meta.crc = 0;  // whole-object digest unknown after a block write
+  }
   return result;
 }
 
-dist::ReadResult DepSkyClient::do_get(const std::string& path) {
-  dist::ReadResult result;
-  const auto m = store_.lookup(path);
-  if (!m.has_value()) {
-    result.status = common::not_found("no such file: " + path);
-    note_get(0, false, false);
-    return result;
-  }
-  result = replication_.read(session_, *m);
-  note_get(result.latency, result.status.is_ok(), result.degraded);
-  return result;
-}
-
-dist::WriteResult DepSkyClient::do_update(const std::string& path,
-                                       std::uint64_t offset,
-                                       common::ByteSpan data) {
-  dist::WriteResult result;
-  const auto m = store_.lookup(path);
-  if (!m.has_value()) {
-    result.status = common::not_found("no such file: " + path);
-    note_update(0, false);
-    return result;
-  }
-  if (!common::range_within(offset, data.size(), m->size)) {
-    result.status = common::invalid_argument("update must not grow the file");
-    note_update(0, false);
-    return result;
-  }
-
-  if (offset == 0 && data.size() == m->size) {
-    result = write_object(path, common::Buffer::borrow(data));
-  } else {
-    // Quorum block write, same engine path as write_object.
-    gcs::AsyncBatch batch(session_);
-    std::vector<const meta::FragmentLocation*> locs;
-    for (std::size_t i = 0; i < m->locations.size(); ++i) {
-      const std::size_t idx = session_.index_of(m->locations[i].provider);
-      if (idx == static_cast<std::size_t>(-1)) continue;
-      batch.submit(gcs::CloudOp::put_range(
-          idx, {container_, m->locations[i].object_name}, offset, data));
-      locs.push_back(&m->locations[i]);
-    }
-    gcs::BatchStats stats;
-    auto puts = batch.await_ack(gcs::AckPolicy::kQuorum, &stats, quorum_);
-    if (stats.succeeded < quorum_) {
-      result.status = common::unavailable(
-          "quorum unreachable (" + std::to_string(stats.succeeded) + "/" +
-          std::to_string(quorum_) + " acks)");
-      note_update(result.latency, false);
-      return result;
-    }
-    result.latency = stats.latency;
-    result.status = common::Status::ok();
-    result.meta = *m;
-    result.meta.crc = 0;
-    for (std::size_t i = 0; i < puts.size(); ++i) {
-      if (!puts[i].ok()) {
-        log_.append(locs[i]->provider, container_, path, locs[i]->object_name,
-                    meta::LogAction::kPut);
-      }
-    }
-    store_.upsert_versioned(result.meta);
-  }
-  if (!result.status.is_ok()) {
-    note_update(result.latency, false);
-    return result;
-  }
-  result.latency += persist_metadata(m->directory());
-  note_update(result.latency, true);
-  return result;
-}
-
-dist::RemoveResult DepSkyClient::do_remove(const std::string& path) {
-  dist::RemoveResult result;
-  const auto m = store_.lookup(path);
-  if (!m.has_value()) {
-    result.status = common::not_found("no such file: " + path);
-    note_remove(0, false);
-    return result;
-  }
-  result = replication_.remove(session_, *m);
-  for (const auto& provider : result.unreachable_providers) {
-    for (const auto& loc : m->locations) {
-      if (loc.provider == provider) {
-        log_.append(provider, container_, path, loc.object_name,
-                    meta::LogAction::kRemove);
-      }
-    }
-  }
-  store_.erase(path);
-  result.latency += persist_metadata(m->directory());
-  note_remove(result.latency, result.status.is_ok());
-  return result;
-}
-
-common::SimDuration DepSkyClient::on_provider_restored(
-    const std::string& provider) {
-  return recovery_.resync(provider).latency;
+dist::RemoveResult DepSkyClient::remove_object(const meta::FileMeta& m) {
+  return replication_.remove(session_, m);
 }
 
 }  // namespace hyrd::core

@@ -15,6 +15,7 @@
 #include "dist/erasure_scheme.h"
 #include "dist/recovery.h"
 #include "dist/replication.h"
+#include "gcsapi/async_batch.h"
 
 namespace hyrd::core {
 
@@ -27,24 +28,30 @@ class DepSkyClient final : public StorageClientBase {
   [[nodiscard]] std::string name() const override { return "DepSky"; }
   [[nodiscard]] std::size_t quorum() const { return quorum_; }
 
-  dist::WriteResult do_put(const std::string& path,
-                           common::Buffer data) override;
-  dist::ReadResult do_get(const std::string& path) override;
-  dist::WriteResult do_update(const std::string& path, std::uint64_t offset,
-                           common::ByteSpan data) override;
-  dist::RemoveResult do_remove(const std::string& path) override;
-  common::SimDuration on_provider_restored(const std::string& provider) override;
+ protected:
+  /// Quorum write of a full replica to every cloud.
+  dist::WriteResult write_object(
+      const std::string& path, common::Buffer data,
+      std::vector<std::string>* unreachable) override;
+  dist::ReadResult read_object(const meta::FileMeta& m) override;
+  /// A whole-file overwrite is a write; a partial one a quorum block write.
+  dist::WriteResult update_object(
+      const meta::FileMeta& m, std::uint64_t offset, common::ByteSpan data,
+      std::vector<std::string>* unreachable) override;
+  dist::RemoveResult remove_object(const meta::FileMeta& m) override;
 
  private:
-  dist::WriteResult write_object(const std::string& path,
-                                 common::Buffer data);
-  common::SimDuration persist_metadata(const std::string& dir);
+  /// Awaits `batch` (one put per entry of `providers`) at the quorum-th
+  /// acknowledgment. Every put still runs to completion; the providers
+  /// whose put failed go to `unreachable`. Missing quorum fails the write,
+  /// charged the time the client waited for the failures.
+  dist::WriteResult await_quorum(gcs::AsyncBatch& batch,
+                                 const std::vector<std::string>& providers,
+                                 std::vector<std::string>* unreachable) const;
 
-  std::string container_;
   std::size_t quorum_;
   dist::ReplicationScheme replication_;  // read path + RecoveryManager
   dist::ErasureScheme erasure_;          // RecoveryManager wiring only
-  dist::RecoveryManager recovery_;
   std::vector<std::size_t> all_targets_;
 };
 

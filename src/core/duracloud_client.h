@@ -23,32 +23,26 @@ class DuraCloudClient final : public StorageClientBase {
 
   [[nodiscard]] std::string name() const override { return "DuraCloud"; }
 
-  dist::WriteResult do_put(const std::string& path,
-                           common::Buffer data) override;
-  dist::ReadResult do_get(const std::string& path) override;
-  dist::WriteResult do_update(const std::string& path, std::uint64_t offset,
-                           common::ByteSpan data) override;
-  dist::RemoveResult do_remove(const std::string& path) override;
-  common::SimDuration on_provider_restored(const std::string& provider) override;
-
   [[nodiscard]] const std::vector<std::size_t>& replica_targets() const {
     return targets_;
   }
 
-  /// Engine knobs (see gcsapi/async_batch.h); defaults match the legacy
-  /// synchronous semantics.
+  /// Hedged replica reads (see gcsapi/async_batch.h); on by default.
   void set_hedge(dist::HedgePolicy p) { replication_.set_hedge(p); }
-  void set_write_ack(gcs::AckPolicy ack) { replication_.set_write_ack(ack); }
+
+ protected:
+  dist::WriteResult write_object(
+      const std::string& path, common::Buffer data,
+      std::vector<std::string>* unreachable) override;
+  dist::ReadResult read_object(const meta::FileMeta& m) override;
+  dist::WriteResult update_object(
+      const meta::FileMeta& m, std::uint64_t offset, common::ByteSpan data,
+      std::vector<std::string>* unreachable) override;
+  dist::RemoveResult remove_object(const meta::FileMeta& m) override;
 
  private:
-  dist::WriteResult write_object(const std::string& path,
-                                 common::Buffer data);
-  common::SimDuration persist_metadata(const std::string& dir);
-
-  std::string container_;
   dist::ReplicationScheme replication_;
   dist::ErasureScheme erasure_;  // unused; RecoveryManager wiring only
-  dist::RecoveryManager recovery_;
   std::vector<std::size_t> targets_;
 };
 

@@ -13,20 +13,16 @@
 namespace hyrd::core {
 
 HyRDClient::HyRDClient(gcs::MultiCloudSession& session, HyRDConfig config)
-    : StorageClientBase(session),
+    : StorageClientBase(session, config.data_container),
       config_(config),
       monitor_(config.large_file_threshold),
       data_replication_(config.data_container),
-      meta_replication_(config.meta_container),
-      erasure_(config.data_container, config.geometry),
-      recovery_(session, store_, log_, data_replication_, erasure_) {
+      erasure_(config.data_container, config.geometry) {
   // Wire the engine knobs through to the schemes. Defaults reproduce the
   // synchronous wait-for-all semantics; aggressive settings enable
   // first-k erasure reads, hedged replica reads, and early-ack writes.
   data_replication_.set_write_ack(config_.write_ack);
   data_replication_.set_hedge(config_.hedge);
-  meta_replication_.set_write_ack(config_.write_ack);
-  meta_replication_.set_hedge(config_.hedge);
   erasure_.set_write_ack(config_.write_ack);
   erasure_.set_read_strategy(config_.erasure_read_strategy);
 
@@ -67,7 +63,8 @@ HyRDClient::HyRDClient(gcs::MultiCloudSession& session, HyRDConfig config)
   assert(shard_slots_.size() == config_.geometry.total() &&
          "need at least k+m providers for the configured geometry");
 
-  recovery_.set_block_regenerator(
+  recovery_.emplace(session_, store_, log_, data_replication_, erasure_);
+  recovery_->set_block_regenerator(
       [this](const std::string& path) -> std::optional<common::Bytes> {
         auto dir = parse_meta_block_path(path);
         if (!dir.has_value()) return std::nullopt;
@@ -105,19 +102,6 @@ common::SimDuration HyRDClient::persist_metadata(const std::string& dir) {
   return stats.latency;
 }
 
-void HyRDClient::log_unreachable_fragments(
-    const std::vector<std::string>& unreachable, const std::string& container,
-    const meta::FileMeta& m) {
-  for (const auto& provider : unreachable) {
-    for (const auto& loc : m.locations) {
-      if (loc.provider == provider) {
-        log_.append(provider, container, m.path, loc.object_name,
-                    meta::LogAction::kPut);
-      }
-    }
-  }
-}
-
 void HyRDClient::drop_hot_copy(const std::string& path, bool remove_remote) {
   meta::FragmentLocation loc;
   {
@@ -142,23 +126,20 @@ bool HyRDClient::has_hot_copy(const std::string& path) const {
   return hot_copies_.contains(path);
 }
 
+dist::RemoveResult HyRDClient::remove_fragments(const meta::FileMeta& m) {
+  return m.redundancy == meta::RedundancyKind::kReplicated
+             ? data_replication_.remove(session_, m)
+             : erasure_.remove(session_, m);
+}
+
 common::SimDuration HyRDClient::release_previous(const std::string& path,
                                                  const meta::FileMeta& prev) {
   common::SimDuration latency = 0;
   const bool last_ref = dedup_.unlink(path);
   if (last_ref) {
-    auto rm = prev.redundancy == meta::RedundancyKind::kReplicated
-                  ? data_replication_.remove(session_, prev)
-                  : erasure_.remove(session_, prev);
+    auto rm = remove_fragments(prev);
     latency += rm.latency;
-    for (const auto& provider : rm.unreachable_providers) {
-      for (const auto& loc : prev.locations) {
-        if (loc.provider == provider) {
-          log_.append(provider, config_.data_container, prev.path,
-                      loc.object_name, meta::LogAction::kRemove);
-        }
-      }
-    }
+    log_unreachable(rm.unreachable_providers, prev, meta::LogAction::kRemove);
   }
   drop_hot_copy(path, /*remove_remote=*/last_ref);
   return latency;
@@ -166,7 +147,8 @@ common::SimDuration HyRDClient::release_previous(const std::string& path,
 
 dist::WriteResult HyRDClient::put_dedup(const std::string& path,
                                         const common::Buffer& data,
-                                        DataClass cls) {
+                                        DataClass cls,
+                                        std::vector<std::string>* unreachable) {
   const auto digest = common::Sha256::digest(data);
   const auto prev = store_.lookup(path);
   dist::WriteResult result;
@@ -177,11 +159,9 @@ dist::WriteResult HyRDClient::put_dedup(const std::string& path,
     meta::FileMeta alias = *canonical;
     alias.path = path;
     if (prev.has_value()) result.latency += release_previous(path, *prev);
-    store_.upsert_versioned(alias);
     dedup_.add_alias(digest, path, data.size());
     result.status = common::Status::ok();
     result.meta = std::move(alias);
-    result.latency += persist_metadata(result.meta.directory());
     return result;
   }
 
@@ -189,93 +169,56 @@ dist::WriteResult HyRDClient::put_dedup(const std::string& path,
   // future aliases can share them and overwrites never clobber shared
   // fragments.
   const std::string cas_path = "cas:" + digest.hex();
-  std::vector<std::string> unreachable;
   if (cls == DataClass::kSmallFile) {
     result = data_replication_.write(session_, cas_path, data,
-                                     replica_targets_, &unreachable);
+                                     replica_targets_, unreachable);
   } else {
     result = erasure_.write(session_, cas_path, data, shard_slots_,
-                            &unreachable);
+                            unreachable);
   }
   if (!result.status.is_ok()) return result;
   result.meta.path = path;
   if (prev.has_value()) result.latency += release_previous(path, *prev);
-  store_.upsert_versioned(result.meta);
-  log_unreachable_fragments(unreachable, config_.data_container, result.meta);
   dedup_.add_canonical(digest, result.meta);
-  result.latency += persist_metadata(result.meta.directory());
   return result;
 }
 
-dist::WriteResult HyRDClient::do_put(const std::string& path,
-                                     common::Buffer data) {
+dist::WriteResult HyRDClient::write_object(
+    const std::string& path, common::Buffer data,
+    std::vector<std::string>* unreachable) {
   const DataClass cls = monitor_.classify_file(data.size());
   monitor_.record_write(cls, data.size());
-  if (config_.dedup_enabled) {
-    auto result = put_dedup(path, data, cls);
-    note_put(result.latency, result.status.is_ok());
-    return result;
-  }
+  if (config_.dedup_enabled) return put_dedup(path, data, cls, unreachable);
   const auto prev = store_.lookup(path);
 
-  std::vector<std::string> unreachable;
   dist::WriteResult result;
   if (cls == DataClass::kSmallFile) {
     result = data_replication_.write(session_, path, std::move(data),
-                                     replica_targets_, &unreachable);
+                                     replica_targets_, unreachable);
   } else {
     result = erasure_.write(session_, path, std::move(data), shard_slots_,
-                            &unreachable);
+                            unreachable);
   }
-  if (!result.status.is_ok()) {
-    note_put(result.latency, false);
-    return result;
-  }
+  if (!result.status.is_ok()) return result;
 
   // A file that crossed the size threshold changes redundancy kind; the
   // old fragments use a different name suffix and must be removed.
   if (prev.has_value() && prev->redundancy != result.meta.redundancy) {
-    auto rm = prev->redundancy == meta::RedundancyKind::kReplicated
-                  ? data_replication_.remove(session_, *prev)
-                  : erasure_.remove(session_, *prev);
-    result.latency += rm.latency;
-    for (const auto& provider : rm.unreachable_providers) {
-      for (const auto& loc : prev->locations) {
-        if (loc.provider == provider) {
-          log_.append(provider, config_.data_container, prev->path,
-                      loc.object_name, meta::LogAction::kRemove);
-        }
-      }
-    }
+    result.latency += release_previous(path, *prev);
+  } else {
+    drop_hot_copy(path, /*remove_remote=*/true);
   }
-
-  store_.upsert_versioned(result.meta);
-  log_unreachable_fragments(unreachable, config_.data_container, result.meta);
-  drop_hot_copy(path, /*remove_remote=*/true);
-
-  result.latency += persist_metadata(result.meta.directory());
-  note_put(result.latency, true);
   return result;
 }
 
-dist::ReadResult HyRDClient::do_get(const std::string& path) {
+dist::ReadResult HyRDClient::read_object(const meta::FileMeta& m) {
+  if (m.redundancy == meta::RedundancyKind::kReplicated) {
+    monitor_.record_read(DataClass::kSmallFile, m.size);
+    return data_replication_.read(session_, m);
+  }
+
+  monitor_.record_read(DataClass::kLargeFile, m.size);
   dist::ReadResult result;
-  const auto m = store_.lookup(path);
-  if (!m.has_value()) {
-    result.status = common::not_found("no such file: " + path);
-    note_get(0, false, false);
-    return result;
-  }
-
-  if (m->redundancy == meta::RedundancyKind::kReplicated) {
-    monitor_.record_read(DataClass::kSmallFile, m->size);
-    result = data_replication_.read(session_, *m);
-    note_get(result.latency, result.status.is_ok(), result.degraded);
-    return result;
-  }
-
-  monitor_.record_read(DataClass::kLargeFile, m->size);
-
   // Hot-copy fast path (Fig. 2): frequently read large files may also
   // live fully on a performance-oriented provider. The dispatcher serves
   // from the hot copy only when that is expected to beat the stripe —
@@ -287,7 +230,7 @@ dist::ReadResult HyRDClient::do_get(const std::string& path) {
   std::optional<meta::FragmentLocation> hot;
   {
     std::lock_guard lock(hot_mu_);
-    auto it = hot_copies_.find(path);
+    auto it = hot_copies_.find(m.path);
     if (it != hot_copies_.end()) hot = it->second;
   }
   if (hot.has_value()) {
@@ -301,8 +244,8 @@ dist::ReadResult HyRDClient::do_get(const std::string& path) {
       std::size_t online_slots = 0;
       common::SimDuration stripe_expected = 0;
       for (std::size_t i = 0;
-           i < m->locations.size() && online_slots < m->stripe_k; ++i) {
-        const std::size_t slot = session_.index_of(m->locations[i].provider);
+           i < m.locations.size() && online_slots < m.stripe_k; ++i) {
+        const std::size_t slot = session_.index_of(m.locations[i].provider);
         if (slot == static_cast<std::size_t>(-1) ||
             !session_.client(slot).provider()->online()) {
           continue;
@@ -311,22 +254,21 @@ dist::ReadResult HyRDClient::do_get(const std::string& path) {
         stripe_expected = std::max(
             stripe_expected,
             session_.client(slot).provider()->latency_model().expected(
-                cloud::OpKind::kGet, m->shard_size));
+                cloud::OpKind::kGet, m.shard_size));
       }
-      const bool stripe_unreachable = online_slots < m->stripe_k;
+      const bool stripe_unreachable = online_slots < m.stripe_k;
       const common::SimDuration hot_expected =
           session_.client(idx).provider()->latency_model().expected(
-              cloud::OpKind::kGet, m->size);
+              cloud::OpKind::kGet, m.size);
       use_hot = stripe_unreachable || hot_expected < stripe_expected;
     }
     if (use_hot) {
       auto get = session_.client(idx).get(
           {config_.data_container, hot->object_name});
-      if (get.ok() && common::crc32c(get.data) == m->crc) {
+      if (get.ok() && common::crc32c(get.data) == m.crc) {
         result.status = common::Status::ok();
         result.latency = get.latency;
         result.data = std::move(get.data);
-        note_get(result.latency, true, false);
         return result;
       }
       // Hot copy unreachable or stale: fall through to the stripe.
@@ -334,58 +276,44 @@ dist::ReadResult HyRDClient::do_get(const std::string& path) {
     }
   }
 
-  auto stripe_read = erasure_.read(session_, *m);
+  auto stripe_read = erasure_.read(session_, m);
   stripe_read.latency += result.latency;
   result = std::move(stripe_read);
 
   if (result.status.is_ok() && config_.hot_promotion_enabled) {
-    const std::uint32_t reads = monitor_.bump_read_count(path);
-    if (reads >= config_.hot_promotion_reads && !has_hot_copy(path) &&
+    const std::uint32_t reads = monitor_.bump_read_count(m.path);
+    if (reads >= config_.hot_promotion_reads && !has_hot_copy(m.path) &&
         !replica_targets_.empty()) {
       // Background promotion: not charged to this read's latency.
       const std::size_t target = replica_targets_.front();
-      const std::string object = dist::fragment_object_name(path, 'h', 0);
+      const std::string object = dist::fragment_object_name(m.path, 'h', 0);
       auto putr = session_.client(target).put(
           {config_.data_container, object}, result.data);
       if (putr.ok()) {
         std::lock_guard lock(hot_mu_);
-        hot_copies_[path] = {session_.client(target).provider_name(), object};
+        hot_copies_[m.path] = {session_.client(target).provider_name(), object};
       }
     }
   }
 
-  note_get(result.latency, result.status.is_ok(), result.degraded);
   return result;
 }
 
-dist::WriteResult HyRDClient::do_update(const std::string& path,
-                                     std::uint64_t offset,
-                                     common::ByteSpan data) {
-  dist::WriteResult result;
-  const auto m = store_.lookup(path);
-  if (!m.has_value()) {
-    result.status = common::not_found("no such file: " + path);
-    note_update(0, false);
-    return result;
-  }
-  if (!common::range_within(offset, data.size(), m->size)) {
-    result.status = common::invalid_argument("update must not grow the file");
-    note_update(0, false);
-    return result;
-  }
-
+dist::WriteResult HyRDClient::update_object(
+    const meta::FileMeta& m, std::uint64_t offset, common::ByteSpan data,
+    std::vector<std::string>* unreachable) {
   if (config_.dedup_enabled) {
     // Copy-on-write: dedup must hash the full new content, and shared
     // fragments may never be patched in place. This is the cost the paper
     // warns about ("applying data deduplication in HyRD is not easy").
     dist::ReadResult whole =
-        m->redundancy == meta::RedundancyKind::kReplicated
-            ? data_replication_.read(session_, *m)
-            : erasure_.read(session_, *m);
+        m.redundancy == meta::RedundancyKind::kReplicated
+            ? data_replication_.read(session_, m)
+            : erasure_.read(session_, m);
+    dist::WriteResult result;
     if (!whole.status.is_ok()) {
       result.status = whole.status;
       result.latency = whole.latency;
-      note_update(result.latency, false);
       return result;
     }
     common::Bytes patched = std::move(whole.data).into_bytes();
@@ -393,75 +321,46 @@ dist::WriteResult HyRDClient::do_update(const std::string& path,
     std::memcpy(patched.data() + offset, data.data(), data.size());
     monitor_.record_write(monitor_.classify_file(patched.size()), data.size());
     const common::Buffer next = common::Buffer::from(std::move(patched));
-    result = put_dedup(path, next, monitor_.classify_file(next.size()));
+    result = put_dedup(m.path, next, monitor_.classify_file(next.size()),
+                       unreachable);
     result.latency += whole.latency;
-    note_update(result.latency, result.status.is_ok());
     return result;
   }
 
-  std::vector<std::string> unreachable;
-  if (m->redundancy == meta::RedundancyKind::kReplicated) {
+  dist::WriteResult result;
+  if (m.redundancy == meta::RedundancyKind::kReplicated) {
     monitor_.record_write(DataClass::kSmallFile, data.size());
-    if (offset == 0 && data.size() == m->size) {
+    if (offset == 0 && data.size() == m.size) {
       // Whole-file overwrite: replication needs no read at all.
-      result = data_replication_.write(session_, path, data, replica_targets_,
-                                       &unreachable);
+      result = data_replication_.write(session_, m.path, data,
+                                       replica_targets_, unreachable);
     } else {
       // Partial update under replication: block writes only, zero reads
       // (the paper's §II-B contrast with erasure coding's 2R+2W).
-      result = data_replication_.update_range(session_, *m, offset, data,
-                                              &unreachable);
+      result = data_replication_.update_range(session_, m, offset, data,
+                                              unreachable);
     }
   } else {
     monitor_.record_write(DataClass::kLargeFile, data.size());
-    result = erasure_.update_range(session_, *m, offset, data, nullptr,
-                                   &unreachable);
+    result = erasure_.update_range(session_, m, offset, data, nullptr,
+                                   unreachable);
   }
-
-  if (!result.status.is_ok()) {
-    note_update(result.latency, false);
-    return result;
-  }
-  store_.upsert_versioned(result.meta);
-  log_unreachable_fragments(unreachable, config_.data_container, result.meta);
-  drop_hot_copy(path, /*remove_remote=*/true);
-  result.latency += persist_metadata(result.meta.directory());
-  note_update(result.latency, true);
+  if (result.status.is_ok()) drop_hot_copy(m.path, /*remove_remote=*/true);
   return result;
 }
 
-dist::RemoveResult HyRDClient::do_remove(const std::string& path) {
-  dist::RemoveResult result;
-  const auto m = store_.lookup(path);
-  if (!m.has_value()) {
-    result.status = common::not_found("no such file: " + path);
-    note_remove(0, false);
-    return result;
-  }
-
+dist::RemoveResult HyRDClient::remove_object(const meta::FileMeta& m) {
   // Under dedup, fragments are deleted only when the last path
   // referencing the content goes away.
   const bool delete_fragments =
-      !config_.dedup_enabled || dedup_.unlink(path);
+      !config_.dedup_enabled || dedup_.unlink(m.path);
+  dist::RemoveResult result;
   if (delete_fragments) {
-    result = m->redundancy == meta::RedundancyKind::kReplicated
-                 ? data_replication_.remove(session_, *m)
-                 : erasure_.remove(session_, *m);
-    for (const auto& provider : result.unreachable_providers) {
-      for (const auto& loc : m->locations) {
-        if (loc.provider == provider) {
-          log_.append(provider, config_.data_container, path, loc.object_name,
-                      meta::LogAction::kRemove);
-        }
-      }
-    }
+    result = remove_fragments(m);
   } else {
     result.status = common::Status::ok();
   }
-  store_.erase(path);
-  drop_hot_copy(path, /*remove_remote=*/delete_fragments);
-  result.latency += persist_metadata(m->directory());
-  note_remove(result.latency, result.status.is_ok());
+  drop_hot_copy(m.path, /*remove_remote=*/delete_fragments);
   return result;
 }
 
@@ -498,9 +397,7 @@ StorageClient::FlushResult HyRDClient::flush_entries(
     for (std::size_t i = 0; i < results.size(); ++i) {
       auto& r = results[i].result;
       if (r.status.is_ok()) {
-        store_.upsert_versioned(r.meta);
-        log_unreachable_fragments(results[i].unreachable,
-                                  config_.data_container, r.meta);
+        commit(r.meta, results[i].unreachable);
         dirs.insert(r.meta.directory());
         ++out.flushed;
         out.flushed_bytes += group_entries[i].data.size();
@@ -615,12 +512,6 @@ void HyRDClient::wire_adaptive(cache::ClientCache& cache) {
   cache.wire_adaptive(std::move(model),
                       [this](std::uint64_t t) { monitor_.set_threshold(t); },
                       monitor_.threshold());
-}
-
-common::SimDuration HyRDClient::on_provider_restored(
-    const std::string& provider) {
-  auto report = recovery_.resync(provider);
-  return report.latency;
 }
 
 common::Status HyRDClient::rebuild_metadata_from_cloud() {

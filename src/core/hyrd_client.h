@@ -35,14 +35,6 @@ class HyRDClient final : public StorageClientBase {
 
   [[nodiscard]] std::string name() const override { return "HyRD"; }
 
-  dist::WriteResult do_put(const std::string& path,
-                           common::Buffer data) override;
-  dist::ReadResult do_get(const std::string& path) override;
-  dist::WriteResult do_update(const std::string& path, std::uint64_t offset,
-                           common::ByteSpan data) override;
-  dist::RemoveResult do_remove(const std::string& path) override;
-  common::SimDuration on_provider_restored(const std::string& provider) override;
-
   // --- Introspection (tests, benches, examples) ---
   [[nodiscard]] const HyRDConfig& config() const { return config_; }
   [[nodiscard]] const EvaluationReport& evaluation() const { return eval_; }
@@ -83,28 +75,42 @@ class HyRDClient final : public StorageClientBase {
   /// the cache's adaptive-threshold controller.
   void wire_adaptive(cache::ClientCache& cache) override;
 
+  // --- The Request Dispatcher: HyRD's redundancy step ---
+
+  /// Classifies the write: small files are replicated on the fastest
+  /// providers, large ones striped on the cheapest (or deduplicated). An
+  /// overwrite that changes redundancy kind releases the old fragments.
+  dist::WriteResult write_object(
+      const std::string& path, common::Buffer data,
+      std::vector<std::string>* unreachable) override;
+  /// Replica read, or stripe read unless a hot copy is expected faster.
+  dist::ReadResult read_object(const meta::FileMeta& m) override;
+  /// Replicated: block writes only. Erasure: the stripe's
+  /// read-modify-write. Dedup: copy-on-write of the whole content.
+  dist::WriteResult update_object(
+      const meta::FileMeta& m, std::uint64_t offset, common::ByteSpan data,
+      std::vector<std::string>* unreachable) override;
+  dist::RemoveResult remove_object(const meta::FileMeta& m) override;
+
+  /// Serializes and replicates `dir`'s metadata block on the replica
+  /// targets; logs unreachable replicas. Returns the ack latency.
+  common::SimDuration persist_metadata(const std::string& dir) override;
+
  private:
-  /// Serializes and replicates `dir`'s metadata block; logs unreachable
-  /// replicas. Returns the (parallel) write latency.
-  common::SimDuration persist_metadata(const std::string& dir);
-
-  /// Appends kPut log records for fragments of `m` on providers in
-  /// `unreachable`.
-  void log_unreachable_fragments(const std::vector<std::string>& unreachable,
-                                 const std::string& container,
-                                 const meta::FileMeta& m);
-
   void drop_hot_copy(const std::string& path, bool remove_remote);
 
-  /// Dedup-aware put: aliases duplicate content, writes unique content
+  /// The scheme remove for `m`'s redundancy kind.
+  dist::RemoveResult remove_fragments(const meta::FileMeta& m);
+
+  /// Dedup-aware write: aliases duplicate content, writes unique content
   /// under content-addressed fragment names.
   dist::WriteResult put_dedup(const std::string& path,
-                              const common::Buffer& data,
-                              DataClass cls);
+                              const common::Buffer& data, DataClass cls,
+                              std::vector<std::string>* unreachable);
 
   /// Releases `path`'s previous incarnation: unlinks it from the dedup
-  /// index and deletes its fragments iff nothing else references them.
-  /// Returns the virtual time spent.
+  /// index, deletes its fragments iff nothing else references them and
+  /// drops its hot copy. Returns the virtual time spent.
   common::SimDuration release_previous(const std::string& path,
                                        const meta::FileMeta& prev);
 
@@ -113,9 +119,7 @@ class HyRDClient final : public StorageClientBase {
   WorkloadMonitor monitor_;
   EvaluationReport eval_;
   dist::ReplicationScheme data_replication_;
-  dist::ReplicationScheme meta_replication_;
   dist::ErasureScheme erasure_;
-  dist::RecoveryManager recovery_;
   std::vector<std::size_t> replica_targets_;  // perf-ordered, size = level
   std::vector<std::size_t> shard_slots_;      // cost-ordered, size = k+m
 

@@ -8,13 +8,13 @@
 #include "common/checksum.h"
 #include "common/copy_meter.h"
 #include "dist/scheme.h"
+#include "gcsapi/async_batch.h"
 
 namespace hyrd::core {
 
 NCCloudClient::NCCloudClient(gcs::MultiCloudSession& session,
                              std::uint64_t seed, std::string data_container)
-    : StorageClientBase(session),
-      container_(std::move(data_container)),
+    : StorageClientBase(session, std::move(data_container)),
       code_(session.client_count(), 2),
       rng_(seed) {
   (void)session_.ensure_container_everywhere(container_);
@@ -25,8 +25,10 @@ std::string NCCloudClient::chunk_name(const std::string& path,
   return dist::fragment_object_name(path, 'f', index);
 }
 
-dist::WriteResult NCCloudClient::write_object(const std::string& path,
-                                              common::Buffer data) {
+dist::WriteResult NCCloudClient::write_object(
+    const std::string& path, common::Buffer data,
+    std::vector<std::string>* unreachable) {
+  (void)unreachable;  // failed chunks are logged below, one by one
   dist::WriteResult result;
 
   erasure::Fmsr::Encoded enc;
@@ -77,7 +79,6 @@ dist::WriteResult NCCloudClient::write_object(const std::string& path,
                   chunk_name(path, c), meta::LogAction::kPut);
     }
   }
-  store_.upsert_versioned(m);
   {
     std::lock_guard lock(coeff_mu_);
     coefficients_[path] = enc.coefficients;
@@ -108,34 +109,15 @@ common::SimDuration NCCloudClient::persist_metadata(const std::string& dir) {
   return stats.latency;
 }
 
-dist::WriteResult NCCloudClient::do_put(const std::string& path,
-                                        common::Buffer data) {
-  dist::WriteResult result = write_object(path, std::move(data));
-  if (!result.status.is_ok()) {
-    note_put(result.latency, false);
-    return result;
-  }
-  result.latency += persist_metadata(result.meta.directory());
-  note_put(result.latency, true);
-  return result;
-}
-
-dist::ReadResult NCCloudClient::do_get(const std::string& path) {
+dist::ReadResult NCCloudClient::read_object(const meta::FileMeta& m) {
   dist::ReadResult result;
-  const auto m = store_.lookup(path);
-  if (!m.has_value()) {
-    result.status = common::not_found("no such file: " + path);
-    note_get(0, false, false);
-    return result;
-  }
   erasure::Matrix coeffs;
   {
     std::lock_guard lock(coeff_mu_);
-    auto it = coefficients_.find(path);
+    auto it = coefficients_.find(m.path);
     if (it == coefficients_.end()) {
       result.status = common::internal_error("missing coefficients for " +
-                                             path);
-      note_get(0, false, false);
+                                             m.path);
       return result;
     }
     coeffs = it->second;
@@ -147,7 +129,7 @@ dist::ReadResult NCCloudClient::do_get(const std::string& path) {
   std::vector<std::size_t> nodes(code_.nodes());
   std::iota(nodes.begin(), nodes.end(), 0);
   const auto order = dist::order_by_expected_read_latency(
-      session_, nodes, m->shard_size * cpn);
+      session_, nodes, m.shard_size * cpn);
 
   std::vector<std::size_t> preferred;
   std::vector<std::size_t> fallback;
@@ -162,119 +144,88 @@ dist::ReadResult NCCloudClient::do_get(const std::string& path) {
   // the ranked list — at n=4, k=2 that is at most 6 pairs).
   for (std::size_t a = 0; a < preferred.size(); ++a) {
     for (std::size_t b = a + 1; b < preferred.size(); ++b) {
-      const std::vector<std::size_t> pick = {preferred[a], preferred[b]};
-      std::vector<gcs::BatchGet> batch;
+      gcs::AsyncBatch batch(session_);
       std::vector<std::size_t> indices;
-      for (std::size_t node : pick) {
+      for (std::size_t node : {preferred[a], preferred[b]}) {
         for (std::size_t c = 0; c < cpn; ++c) {
           const std::size_t idx = node * cpn + c;
-          batch.push_back({node, {container_, m->locations[idx].object_name}});
+          batch.submit(gcs::CloudOp::get(
+              node, {container_, m.locations[idx].object_name}));
           indices.push_back(idx);
         }
       }
-      common::SimDuration batch_latency = 0;
-      auto gets = session_.parallel_get(batch, &batch_latency);
-      result.latency += batch_latency;
+      gcs::BatchStats stats;
+      auto gets = batch.await_all(&stats);
+      result.latency += stats.latency;
 
       std::vector<common::Bytes> chunks;
       bool ok = true;
       for (std::size_t j = 0; j < gets.size(); ++j) {
+        const std::uint32_t want = m.fragment_crcs[indices[j]];
         if (!gets[j].ok() ||
-            (m->fragment_crcs[indices[j]] != 0 &&
-             common::crc32c(gets[j].data) != m->fragment_crcs[indices[j]])) {
+            (want != 0 && common::crc32c(gets[j].result.data) != want)) {
           ok = false;
           break;
         }
-        chunks.push_back(std::move(gets[j].data).into_bytes());
+        chunks.push_back(std::move(gets[j].result.data).into_bytes());
       }
       if (!ok) {
         result.degraded = true;
         continue;
       }
-      auto decoded = code_.decode(coeffs, indices, chunks, m->size, m->crc);
+      auto decoded = code_.decode(coeffs, indices, chunks, m.size, m.crc);
       if (!decoded.is_ok()) {
         result.degraded = true;
         continue;
       }
       result.status = common::Status::ok();
       result.data = common::Buffer::from(std::move(decoded).value());
-      note_get(result.latency, true, result.degraded);
       return result;
     }
   }
-  result.status = common::data_loss("no decodable node pair for " + path);
-  note_get(result.latency, false, true);
+  result.status = common::data_loss("no decodable node pair for " + m.path);
+  result.degraded = true;
   return result;
 }
 
-dist::WriteResult NCCloudClient::do_update(const std::string& path,
-                                        std::uint64_t offset,
-                                        common::ByteSpan data) {
-  dist::WriteResult result;
-  const auto m = store_.lookup(path);
-  if (!m.has_value()) {
-    result.status = common::not_found("no such file: " + path);
-    note_update(0, false);
-    return result;
-  }
-  if (!common::range_within(offset, data.size(), m->size)) {
-    result.status = common::invalid_argument("update must not grow the file");
-    note_update(0, false);
-    return result;
-  }
-
-  // F-MSR has no partial-update path: read, patch, re-encode everything
-  // (Table I: "Low for small updates").
-  auto whole = do_get(path);
+dist::WriteResult NCCloudClient::update_object(
+    const meta::FileMeta& m, std::uint64_t offset, common::ByteSpan data,
+    std::vector<std::string>* unreachable) {
+  // Table I: "Low for small updates" — any byte change re-encodes it all.
+  auto whole = read_object(m);
   if (!whole.status.is_ok()) {
+    dist::WriteResult result;
     result.status = whole.status;
     result.latency = whole.latency;
-    note_update(result.latency, false);
     return result;
   }
   common::Bytes patched = std::move(whole.data).into_bytes();
   common::count_copied_bytes(data.size());
   std::memcpy(patched.data() + offset, data.data(), data.size());
-  result = write_object(path, common::Buffer::from(std::move(patched)));
+  auto result = write_object(m.path, common::Buffer::from(std::move(patched)),
+                             unreachable);
   result.latency += whole.latency;
-  if (!result.status.is_ok()) {
-    note_update(result.latency, false);
-    return result;
-  }
-  result.latency += persist_metadata(m->directory());
-  note_update(result.latency, true);
   return result;
 }
 
-dist::RemoveResult NCCloudClient::do_remove(const std::string& path) {
+dist::RemoveResult NCCloudClient::remove_object(const meta::FileMeta& m) {
   dist::RemoveResult result;
-  const auto m = store_.lookup(path);
-  if (!m.has_value()) {
-    result.status = common::not_found("no such file: " + path);
-    note_remove(0, false);
-    return result;
-  }
   const std::size_t cpn = code_.chunks_per_node();
-  common::SimDuration max_latency = 0;
-  for (std::size_t c = 0; c < m->locations.size(); ++c) {
-    auto r = session_.client(c / cpn).remove(
-        {container_, m->locations[c].object_name});
-    max_latency = std::max(max_latency, r.latency);
+  for (std::size_t c = 0; c < m.locations.size(); ++c) {
+    const auto& loc = m.locations[c];
+    auto r = session_.client(c / cpn).remove({container_, loc.object_name});
+    result.latency = std::max(result.latency, r.latency);
     if (!r.ok() && r.status.code() == common::StatusCode::kUnavailable) {
-      log_.append(m->locations[c].provider, container_, path,
-                  m->locations[c].object_name, meta::LogAction::kRemove);
-      result.unreachable_providers.push_back(m->locations[c].provider);
+      log_.append(loc.provider, container_, m.path, loc.object_name,
+                  meta::LogAction::kRemove);
+      result.unreachable_providers.push_back(loc.provider);
     }
   }
-  store_.erase(path);
   {
     std::lock_guard lock(coeff_mu_);
-    coefficients_.erase(path);
+    coefficients_.erase(m.path);
   }
-  result.latency = max_latency;
   result.status = common::Status::ok();
-  result.latency += persist_metadata(m->directory());
-  note_remove(result.latency, true);
   return result;
 }
 
@@ -327,14 +278,14 @@ common::SimDuration NCCloudClient::on_provider_restored(
       if (!planned.is_ok()) continue;
       plan = std::move(planned).value();
     }
-    std::vector<gcs::BatchGet> batch;
+    gcs::AsyncBatch batch(session_);
     for (std::size_t idx : plan.survivor_chunk_indices) {
-      batch.push_back(
-          {idx / cpn, {container_, m->locations[idx].object_name}});
+      batch.submit(gcs::CloudOp::get(
+          idx / cpn, {container_, m->locations[idx].object_name}));
     }
-    common::SimDuration batch_latency = 0;
-    auto gets = session_.parallel_get(batch, &batch_latency);
-    latency += batch_latency;
+    gcs::BatchStats stats;
+    auto gets = batch.await_all(&stats);
+    latency += stats.latency;
     std::vector<common::Bytes> survivor_chunks;
     bool ok = true;
     for (auto& g : gets) {
@@ -342,7 +293,7 @@ common::SimDuration NCCloudClient::on_provider_restored(
         ok = false;
         break;
       }
-      survivor_chunks.push_back(std::move(g.data).into_bytes());
+      survivor_chunks.push_back(std::move(g.result.data).into_bytes());
     }
     if (!ok) continue;
 

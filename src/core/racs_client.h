@@ -24,42 +24,36 @@ class RACSClient final : public StorageClientBase {
 
   [[nodiscard]] std::string name() const override { return "RACS"; }
 
-  dist::WriteResult do_put(const std::string& path,
-                           common::Buffer data) override;
-  dist::ReadResult do_get(const std::string& path) override;
-  dist::WriteResult do_update(const std::string& path, std::uint64_t offset,
-                           common::ByteSpan data) override;
-  dist::RemoveResult do_remove(const std::string& path) override;
-  common::SimDuration on_provider_restored(const std::string& provider) override;
-
   [[nodiscard]] const erasure::StripeGeometry& geometry() const {
     return erasure_.geometry();
   }
 
-  /// Engine knobs (see gcsapi/async_batch.h); defaults match the legacy
-  /// synchronous semantics.
+  /// Erasure read strategy (see gcsapi/async_batch.h); the default reads
+  /// the preferred k fragments.
   void set_read_strategy(dist::ErasureReadStrategy s) {
     erasure_.set_read_strategy(s);
   }
-  void set_write_ack(gcs::AckPolicy ack) {
-    erasure_.set_write_ack(ack);
-    replication_.set_write_ack(ack);
-  }
+
+ protected:
+  /// Stripes one object (data or metadata block); an overwrite reuses the
+  /// previous placement so fragments stay put.
+  dist::WriteResult write_object(
+      const std::string& path, common::Buffer data,
+      std::vector<std::string>* unreachable) override;
+  dist::ReadResult read_object(const meta::FileMeta& m) override;
+  /// Every update, whole-file ones included, is the stripe's
+  /// read-modify-write.
+  dist::WriteResult update_object(
+      const meta::FileMeta& m, std::uint64_t offset, common::ByteSpan data,
+      std::vector<std::string>* unreachable) override;
+  dist::RemoveResult remove_object(const meta::FileMeta& m) override;
 
  private:
   /// Slot assignment for one object: rotation start = hash(path) mod n.
   [[nodiscard]] std::vector<std::size_t> slots_for(const std::string& path) const;
 
-  /// Stripes one object (data or metadata block), maintaining meta/log.
-  dist::WriteResult write_object(const std::string& path,
-                                 common::Buffer data);
-
-  common::SimDuration persist_metadata(const std::string& dir);
-
-  std::string container_;
   dist::ErasureScheme erasure_;
   dist::ReplicationScheme replication_;  // only for RecoveryManager wiring
-  dist::RecoveryManager recovery_;
 };
 
 }  // namespace hyrd::core

@@ -5,8 +5,6 @@
 #pragma once
 
 #include "core/storage_client.h"
-#include "dist/erasure_scheme.h"
-#include "dist/recovery.h"
 #include "dist/replication.h"
 
 namespace hyrd::core {
@@ -21,28 +19,36 @@ class SingleCloudClient final : public StorageClientBase {
   }
   [[nodiscard]] const std::string& provider() const { return provider_; }
 
-  /// Engine knobs (see gcsapi/async_batch.h). With a single replica the
-  /// hedge can never fire, but the knob keeps fleet setup uniform.
-  void set_hedge(dist::HedgePolicy p) { replication_.set_hedge(p); }
+  /// With a single copy there is nothing to resync from: writes during
+  /// the outage failed outright, and no update log is kept.
+  common::SimDuration on_provider_restored(
+      const std::string& provider) override {
+    (void)provider;
+    return 0;
+  }
 
-  dist::WriteResult do_put(const std::string& path,
-                           common::Buffer data) override;
-  dist::ReadResult do_get(const std::string& path) override;
-  dist::WriteResult do_update(const std::string& path, std::uint64_t offset,
-                           common::ByteSpan data) override;
-  dist::RemoveResult do_remove(const std::string& path) override;
-  common::SimDuration on_provider_restored(const std::string& provider) override;
+ protected:
+  dist::WriteResult write_object(
+      const std::string& path, common::Buffer data,
+      std::vector<std::string>* unreachable) override;
+  dist::ReadResult read_object(const meta::FileMeta& m) override;
+  dist::WriteResult update_object(
+      const meta::FileMeta& m, std::uint64_t offset, common::ByteSpan data,
+      std::vector<std::string>* unreachable) override;
+  dist::RemoveResult remove_object(const meta::FileMeta& m) override;
+
+  /// No update log: a remove that missed the provider is not replayed.
+  void log_unreachable(const std::vector<std::string>& providers,
+                       const meta::FileMeta& m,
+                       meta::LogAction action) override {
+    (void)providers;
+    (void)m;
+    (void)action;
+  }
 
  private:
-  dist::WriteResult write_object(const std::string& path,
-                                 common::Buffer data);
-  common::SimDuration persist_metadata(const std::string& dir);
-
   std::string provider_;
-  std::string container_;
   dist::ReplicationScheme replication_;  // degenerate level-1 replication
-  dist::ErasureScheme erasure_;          // RecoveryManager wiring only
-  dist::RecoveryManager recovery_;
   std::vector<std::size_t> target_;
 };
 

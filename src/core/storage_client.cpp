@@ -1,6 +1,7 @@
 #include "core/storage_client.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "common/checksum.h"
 #include "common/virtual_time.h"
@@ -305,6 +306,111 @@ std::vector<std::string> StorageClientBase::list() const {
     }
   }
   return out;
+}
+
+std::optional<meta::FileMeta> StorageClientBase::lookup(
+    const std::string& path, common::Status& status) const {
+  auto m = store_.lookup(path);
+  if (!m.has_value()) status = common::not_found("no such file: " + path);
+  return m;
+}
+
+void StorageClientBase::log_unreachable(
+    const std::vector<std::string>& providers, const meta::FileMeta& m,
+    meta::LogAction action) {
+  for (const auto& provider : providers) {
+    for (const auto& loc : m.locations) {
+      if (loc.provider == provider) {
+        log_.append(provider, container_, m.path, loc.object_name, action);
+      }
+    }
+  }
+}
+
+void StorageClientBase::commit(meta::FileMeta& m,
+                               const std::vector<std::string>& unreachable) {
+  store_.upsert_versioned(m);
+  log_unreachable(unreachable, m, meta::LogAction::kPut);
+}
+
+dist::WriteResult StorageClientBase::store_object(const std::string& path,
+                                                  common::Buffer data) {
+  std::vector<std::string> unreachable;
+  dist::WriteResult result = write_object(path, std::move(data), &unreachable);
+  if (result.status.is_ok()) commit(result.meta, unreachable);
+  return result;
+}
+
+common::SimDuration StorageClientBase::persist_metadata(
+    const std::string& dir) {
+  return store_object(meta_block_path(dir),
+                      common::Buffer::from(store_.serialize_directory(dir)))
+      .latency;
+}
+
+dist::WriteResult StorageClientBase::do_put(const std::string& path,
+                                            common::Buffer data) {
+  dist::WriteResult result = store_object(path, std::move(data));
+  if (result.status.is_ok()) {
+    result.latency += persist_metadata(result.meta.directory());
+  }
+  note_put(result.latency, result.status.is_ok());
+  return result;
+}
+
+dist::ReadResult StorageClientBase::do_get(const std::string& path) {
+  dist::ReadResult result;
+  const auto m = lookup(path, result.status);
+  if (!m.has_value()) {
+    note_get(0, false, false);
+    return result;
+  }
+  result = read_object(*m);
+  note_get(result.latency, result.status.is_ok(), result.degraded);
+  return result;
+}
+
+dist::WriteResult StorageClientBase::do_update(const std::string& path,
+                                               std::uint64_t offset,
+                                               common::ByteSpan data) {
+  dist::WriteResult result;
+  const auto m = lookup(path, result.status);
+  if (m.has_value() && !common::range_within(offset, data.size(), m->size)) {
+    result.status = common::invalid_argument("update must not grow the file");
+  }
+  if (!result.status.is_ok()) {
+    note_update(0, false);
+    return result;
+  }
+  std::vector<std::string> unreachable;
+  result = update_object(*m, offset, data, &unreachable);
+  if (result.status.is_ok()) {
+    commit(result.meta, unreachable);
+    result.latency += persist_metadata(m->directory());
+  }
+  note_update(result.latency, result.status.is_ok());
+  return result;
+}
+
+dist::RemoveResult StorageClientBase::do_remove(const std::string& path) {
+  dist::RemoveResult result;
+  const auto m = lookup(path, result.status);
+  if (!m.has_value()) {
+    note_remove(0, false);
+    return result;
+  }
+  result = remove_object(*m);
+  log_unreachable(result.unreachable_providers, *m, meta::LogAction::kRemove);
+  store_.erase(path);
+  result.latency += persist_metadata(m->directory());
+  note_remove(result.latency, result.status.is_ok());
+  return result;
+}
+
+common::SimDuration StorageClientBase::on_provider_restored(
+    const std::string& provider) {
+  assert(recovery_.has_value() && "client has no RecoveryManager");
+  return recovery_->resync(provider).latency;
 }
 
 std::string StorageClientBase::meta_block_path(const std::string& dir) {

@@ -26,6 +26,7 @@
 #include "common/checksum.h"
 
 #include "common/stats.h"
+#include "dist/recovery.h"
 #include "dist/scheme.h"
 #include "gcsapi/session.h"
 #include "metadata/metadata_store.h"
@@ -245,8 +246,12 @@ class StorageClient {
   std::mutex flush_mu_;
 };
 
-/// Shared plumbing for concrete clients: session + metadata store +
-/// update log + deterministic metadata-block naming.
+/// The client skeleton every scheme shares. It owns the per-operation
+/// pipeline — metadata lookup, the scheme's redundancy step, the metadata
+/// upsert, update-log records for the providers the step missed, the
+/// directory-block persist and the stats — so two schemes differ only in
+/// where their redundancy goes (paper §III). A concrete client supplies
+/// the redundancy step through the protected hooks below.
 class StorageClientBase : public StorageClient {
  public:
   [[nodiscard]] std::optional<meta::FileMeta> stat(
@@ -255,6 +260,10 @@ class StorageClientBase : public StorageClient {
 
   [[nodiscard]] const meta::MetadataStore& metadata() const { return store_; }
   [[nodiscard]] const meta::UpdateLog& update_log() const { return log_; }
+
+  /// Replays the update log against the returned provider (RecoveryManager).
+  common::SimDuration on_provider_restored(
+      const std::string& provider) override;
 
   /// Synthetic logical path used in the update log for a directory's
   /// metadata block.
@@ -266,10 +275,58 @@ class StorageClientBase : public StorageClient {
       const std::string& path);
 
  protected:
-  explicit StorageClientBase(gcs::MultiCloudSession& session)
-      : session_(session) {
+  /// `data_container` is where the scheme keeps its objects; update-log
+  /// records of missed fragments name it.
+  StorageClientBase(gcs::MultiCloudSession& session,
+                    std::string data_container)
+      : session_(session), container_(std::move(data_container)) {
     log_.bind_keyspace(&store_.keyspace());
   }
+
+  // --- The pipeline, once for every scheme ---
+
+  /// write_object, then on success commit, persist and note_put.
+  dist::WriteResult do_put(const std::string& path,
+                           common::Buffer data) override;
+  /// Lookup, read_object, note_get.
+  dist::ReadResult do_get(const std::string& path) override;
+  /// Lookup and range check, update_object, then as do_put.
+  dist::WriteResult do_update(const std::string& path, std::uint64_t offset,
+                              common::ByteSpan data) override;
+  /// Lookup, remove_object, kRemove records for the providers it missed,
+  /// metadata erase, persist, note_remove.
+  dist::RemoveResult do_remove(const std::string& path) override;
+
+  // --- The redundancy step: what each scheme supplies ---
+
+  /// Stores `data` as `path` (no metadata upsert: the skeleton commits).
+  /// Providers that missed a fragment go to `unreachable`.
+  virtual dist::WriteResult write_object(
+      const std::string& path, common::Buffer data,
+      std::vector<std::string>* unreachable) = 0;
+  /// Reads the object `m` describes. Records no stats.
+  virtual dist::ReadResult read_object(const meta::FileMeta& m) = 0;
+  /// Overwrites [offset, offset+data.size()) of `m`, already range-checked.
+  /// Whether a whole-file overwrite skips the read is the scheme's call.
+  virtual dist::WriteResult update_object(
+      const meta::FileMeta& m, std::uint64_t offset, common::ByteSpan data,
+      std::vector<std::string>* unreachable) = 0;
+  /// Deletes the object's fragments; unreachable_providers lists misses.
+  virtual dist::RemoveResult remove_object(const meta::FileMeta& m) = 0;
+
+  /// Writes `dir`'s metadata block and returns the time it took. The
+  /// default stores it as one more object through write_object, so it gets
+  /// the data's redundancy and a recoverable update-log trail.
+  virtual common::SimDuration persist_metadata(const std::string& dir);
+
+  /// Appends one `action` record per fragment of `m` held by a provider
+  /// in `providers`, replayed when the provider returns.
+  virtual void log_unreachable(const std::vector<std::string>& providers,
+                               const meta::FileMeta& m,
+                               meta::LogAction action);
+
+  /// Versioned metadata upsert plus kPut records for `unreachable`.
+  void commit(meta::FileMeta& m, const std::vector<std::string>& unreachable);
 
   /// Same-path write ordering routed through the store's keyspace: the
   /// stripe lives on the shard that owns the path's directory.
@@ -282,8 +339,19 @@ class StorageClientBase : public StorageClient {
   }
 
   gcs::MultiCloudSession& session_;
+  const std::string container_;
   meta::MetadataStore store_;
   meta::UpdateLog log_;
+  /// Log replay for on_provider_restored; emplaced by clients whose
+  /// schemes it rebuilds from.
+  std::optional<dist::RecoveryManager> recovery_;
+
+ private:
+  /// The file's metadata, or nullopt with `status` set to not_found.
+  std::optional<meta::FileMeta> lookup(const std::string& path,
+                                       common::Status& status) const;
+  /// write_object followed, on success, by commit.
+  dist::WriteResult store_object(const std::string& path, common::Buffer data);
 };
 
 }  // namespace hyrd::core

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../gcsapi/cloud_spans.h"
 #include "cloud/profiles.h"
 #include "core/duracloud_client.h"
 
@@ -111,6 +112,31 @@ TEST_F(DepSkyTest, PartialUpdateQuorum) {
   common::Bytes expected = data;
   std::copy(patch.begin(), patch.end(), expected.begin() + 500);
   EXPECT_EQ(r.data, expected);
+}
+
+TEST_F(DepSkyTest, PartialUpdateMissingQuorumChargesTheWait) {
+  // A partial update that misses quorum still waited for every block
+  // write to fail, exactly like a whole-object write that misses it.
+  ASSERT_TRUE(client_->put("/f", common::patterned(10000, 13)).status.is_ok());
+  registry_.find("AmazonS3")->set_online(false);
+  registry_.find("Rackspace")->set_online(false);
+  obs::TraceRecorder recorder;
+  dist::WriteResult u;
+  {
+    obs::TraceScope scope(&recorder);
+    u = client_->update("/f", 500, common::patterned(100, 14));
+  }
+  EXPECT_EQ(u.status.code(), common::StatusCode::kUnavailable);
+  // The failed update issues only its four block writes (no metadata
+  // persist), all at the batch epoch: the batch max is the slowest span.
+  const auto spans = gcs::client_op_spans(recorder);
+  ASSERT_EQ(spans.size(), 4u);
+  common::SimDuration batch_max = 0;
+  for (const auto& span : spans) batch_max = std::max(batch_max, span.dur);
+  EXPECT_GT(u.latency, 0);
+  EXPECT_EQ(u.latency, batch_max);
+  EXPECT_DOUBLE_EQ(client_->stats_snapshot().update_ms.max(),
+                   common::to_ms(batch_max));
 }
 
 TEST_F(DepSkyTest, UpdateCannotGrow) {

@@ -94,6 +94,20 @@ TEST_F(NCCloudTest, UpdateReencodesWholeObject) {
   EXPECT_EQ(r.data, expected);
 }
 
+TEST_F(NCCloudTest, UpdateIsNotCountedAsAGet) {
+  // The read half of F-MSR's read-modify-write belongs to the update: it
+  // adds to update_ms only, never to get_ms or degraded_reads.
+  client_->put("/f", common::patterned(300 * 1024, 8));
+  registry_.find("AmazonS3")->set_online(false);  // degraded inner read
+  const auto before = client_->stats_snapshot();
+  ASSERT_TRUE(
+      client_->update("/f", 1000, common::patterned(100, 9)).status.is_ok());
+  const auto after = client_->stats_snapshot();
+  EXPECT_EQ(after.get_ms.count(), before.get_ms.count());
+  EXPECT_EQ(after.degraded_reads, before.degraded_reads);
+  EXPECT_EQ(after.update_ms.count(), before.update_ms.count() + 1);
+}
+
 TEST_F(NCCloudTest, RemoveClearsChunks) {
   client_->put("/f", common::patterned(1000, 7));
   ASSERT_TRUE(client_->remove("/f").status.is_ok());
